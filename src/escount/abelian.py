@@ -215,9 +215,33 @@ class EndoMatrix:
         if r < 0:
             raise ValueError(f"power must be >= 0, got {r}")
         result = EndoMatrix.identity(self.group)
-        for _ in range(r):
-            result = result.compose(self)
+        square = self
+        while r:
+            if r & 1:
+                result = result.compose(square)
+            r >>= 1
+            if r:
+                square = square.compose(square)
         return result
+
+
+def element_images(group: AbelianGroup, matrices: np.ndarray) -> np.ndarray:
+    """Element-index images under a stack of endomorphism matrices.
+
+    `matrices` has shape (k, s, s); row t of the (k, |G|) result lists, for
+    every element in element_list order, the index of its image under
+    matrix t.
+    """
+    s = group.rank
+    mods = np.array(group.moduli, dtype=np.int64)
+    basis = np.array(element_list(group), dtype=np.int64).reshape(group.order, s)
+    # Weights that collapse an exponent tuple to its index in element_list.
+    index_weights = np.array(
+        [math.prod(group.moduli[i + 1 :]) for i in range(s)], dtype=np.int64
+    )
+    images = np.einsum("nij,kj->nki", matrices, basis)
+    images %= mods
+    return images @ index_weights
 
 
 def _candidate_value_counts(group: AbelianGroup) -> list[list[int]]:
@@ -244,13 +268,7 @@ def enumerate_automorphisms(
     total = math.prod(c for row in counts for c in row)
     budget.check("max_endo_candidates", total)
 
-    mods = np.array(group.moduli, dtype=np.int64)
     m = group.order
-    basis = np.array(element_list(group), dtype=np.int64)
-    # Weights that collapse an exponent tuple to its index in element_list.
-    index_weights = np.array(
-        [math.prod(group.moduli[i + 1 :]) for i in range(s)], dtype=np.int64
-    )
     steps = np.array(
         [[group.moduli[i] // counts[i][j] for j in range(s)] for i in range(s)],
         dtype=np.int64,
@@ -268,8 +286,7 @@ def enumerate_automorphisms(
             stride //= c
             i, j = divmod(cell, s)
             cand[:, i, j] = (idx // stride) % c * steps[i, j]
-        images = np.einsum("nij,kj->nki", cand, basis) % mods
-        keys = images @ index_weights
+        keys = element_images(group, cand)
         keys.sort(axis=1)
         ok = (keys == np.arange(m, dtype=np.int64)).all(axis=1)
         for t in np.nonzero(ok)[0]:
@@ -381,6 +398,41 @@ def rank_mod_p(rows: Iterable[Iterable[int]], p: int) -> int:
         rank += 1
         if rank == n_rows:
             break
+    return rank
+
+
+def rank_mod_p_batch(stack: np.ndarray, p: int) -> np.ndarray:
+    """Ranks over the field with p elements of a (k, rows, cols) integer stack.
+
+    The same row reduction as rank_mod_p, run on all k matrices at once:
+    each column step picks, in every matrix that still has one, the first
+    nonzero pivot at or below that matrix's current rank.  Instead of
+    dividing by the pivot, every other row is scaled by it (a unit mod p,
+    so ranks do not change) before the pivot row is subtracted.
+    Intermediate values stay below p**2 in absolute value, which must fit
+    in int64.
+    """
+    if (p - 1) ** 2 >= 1 << 63:
+        raise ValueError(f"p={p} is too large for int64 row reduction")
+    a = np.array(stack, dtype=np.int64) % p
+    k, n_rows, n_cols = a.shape
+    rank = np.zeros(k, dtype=np.int64)
+    row_ids = np.arange(n_rows)
+    for col in range(n_cols):
+        candidates = (a[:, :, col] != 0) & (row_ids >= rank[:, None])
+        active = np.nonzero(candidates.any(axis=1))[0]
+        if not active.size:
+            continue
+        pivot = candidates[active].argmax(axis=1)
+        target = rank[active]
+        pivot_rows = a[active, pivot]
+        a[active, pivot] = a[active, target]
+        factors = a[active, :, col]
+        factors[np.arange(active.size), target] = 0
+        scale = pivot_rows[:, col, None, None]
+        a[active] = (a[active] * scale - factors[:, :, None] * pivot_rows[:, None, :]) % p
+        a[active, target] = pivot_rows
+        rank[active] += 1
     return rank
 
 

@@ -4,15 +4,16 @@ The acting group pairs an automorphism of the abelian group with a
 permutation of the n positions: the automorphism moves elements forward and
 characters by composition with its inverse, while the permutation relabels
 positions.  Orbits are counted two independent ways -- a naive scan of the
-full configuration space and a congruence-style average over automorphisms
-and permutation cycle types -- and can also be listed explicitly.
+full configuration space and a congruence-style average of the permutation
+cycle index over automorphisms -- and can also be listed explicitly.
 """
 from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -23,6 +24,7 @@ from .abelian import (
     character_permutation,
     count_character_solutions,
     count_element_solutions,
+    element_images,
     element_list,
     element_permutation,
     enumerate_automorphisms,
@@ -30,7 +32,7 @@ from .abelian import (
     pullback_character,
 )
 from .budget import Budget, DEFAULT_BUDGET, IntegralityError
-from .numtheory import CycleType, cycle_types
+from .numtheory import CycleType, cycle_index_sum
 
 Permutation = tuple[int, ...]
 ActionPair = tuple[EndoMatrix, Permutation]
@@ -184,51 +186,54 @@ def orbit_count_naive(group: AbelianGroup, n: int, budget: Budget = DEFAULT_BUDG
     return fixed_point_report(group, n, budget).orbit_count
 
 
-def _power_fixed_counts(perm: tuple[int, ...], n: int) -> list[int]:
-    """Fixed points of perm**r for r = 1..n, from the cycle lengths of perm."""
-    cycle_counts: dict[int, int] = {}
-    seen = [False] * len(perm)
-    for start in range(len(perm)):
-        if seen[start]:
-            continue
-        length = 0
-        j = start
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-            length += 1
-        cycle_counts[length] = cycle_counts.get(length, 0) + 1
-    return [
-        sum(c * cnt for c, cnt in cycle_counts.items() if r % c == 0)
-        for r in range(1, n + 1)
-    ]
+# Cells of the image array (automorphisms x elements x rank) per batch of
+# fixed-count profiles, the same measure enumerate_automorphisms chunks by.
+PROFILE_CHUNK = 1 << 20
+
+
+def fixed_count_profiles(
+    group: AbelianGroup, autos: Sequence[EndoMatrix], n: int
+) -> np.ndarray:
+    """|Fix(phi**r)| for r = 1..n, one row per automorphism phi in `autos`.
+
+    All automorphisms are mapped over all elements at once; each power is
+    one more gather through the element-index permutation.
+    """
+    s = group.rank
+    mats = np.array([auto.rows for auto in autos], dtype=np.int64)
+    perms = element_images(group, mats.reshape(len(autos), s, s))
+    identity = np.arange(group.order, dtype=np.int64)
+    profiles = np.empty((len(autos), n), dtype=np.int64)
+    power = perms
+    for r in range(n):
+        profiles[:, r] = (power == identity).sum(axis=1)
+        if r + 1 < n:
+            power = np.take_along_axis(perms, power, axis=1)
+    return profiles
 
 
 def orbit_count_congruence(
     group: AbelianGroup, n: int, budget: Budget = DEFAULT_BUDGET
 ) -> int:
-    """Number of orbits, averaging per-cycle-type fixed-point products.
+    """Number of orbits, averaging the cycle index over automorphisms.
 
-    For each automorphism the fixed elements and fixed characters of all its
-    powers are read off from its two index permutations; each permutation of
-    positions then contributes a product over its cycles.  The total over
-    the acting group divides exactly.
+    A pair (phi, sigma) fixes, per cycle of sigma of length r, the elements
+    and the characters fixed by phi**r, and there are as many fixed
+    characters as fixed elements (|G / im(phi**r - 1)| = |ker(phi**r - 1)|).
+    So only the fixed-element profile of each automorphism matters; the
+    automorphisms are tallied by profile and the census goes through the
+    cycle-index kernel.  The total over the acting group divides exactly.
     """
     if n < 1:
         raise ValueError(f"tuple length must be >= 1, got {n}")
     autos = enumerate_automorphisms(group, budget)
-    types = list(cycle_types(n))
-    type_data = [(t.permutation_count(), t.multiplicities) for t in types]
-    total = 0
-    for auto in autos:
-        element_fixed = _power_fixed_counts(element_permutation(auto), n)
-        character_fixed = _power_fixed_counts(character_permutation(auto), n)
-        for perm_count, mults in type_data:
-            term = 1
-            for r, mult in enumerate(mults, start=1):
-                if mult:
-                    term *= (element_fixed[r - 1] * character_fixed[r - 1]) ** mult
-            total += perm_count * term
+    chunk = max(1, PROFILE_CHUNK // (group.order * max(1, group.rank)))
+    census: Counter = Counter()
+    for lo in range(0, len(autos), chunk):
+        profiles = fixed_count_profiles(group, autos[lo : lo + chunk], n)
+        rows, counts = np.unique(profiles, axis=0, return_counts=True)
+        census.update(dict(zip(map(tuple, rows.tolist()), counts.tolist())))
+    total = cycle_index_sum(census, n)
     denominator = len(autos) * math.factorial(n)
     if total % denominator:
         raise IntegralityError(

@@ -9,16 +9,19 @@ everything else falls back to the congruence-style orbit count.
 """
 from __future__ import annotations
 
-import itertools
 import math
+from collections import Counter
 from fractions import Fraction
-from typing import Iterable
+from typing import Iterable, Iterator
 
-from .abelian import AbelianGroup, rank_mod_p
+import numpy as np
+
+from .abelian import AbelianGroup, rank_mod_p_batch
 from .budget import Budget, DEFAULT_BUDGET, IntegralityError
 from .burnside import orbit_count_congruence
 from .numtheory import (
     CycleType,
+    cycle_index_sum,
     cycle_types,
     divisors,
     euler_phi,
@@ -229,75 +232,85 @@ def general_linear_order(p: int, s: int) -> int:
     return p ** (s * (s - 1) // 2) * math.prod(p**i - 1 for i in range(1, s + 1))
 
 
+# Candidate matrices per batch in the GL(s, p) scan.
+MATRIX_CHUNK = 1 << 14
+
+
+def _invertible_matrix_chunks(
+    p: int, s: int, budget: Budget
+) -> Iterator[np.ndarray]:
+    """All invertible s x s matrices over F_p, as (k, s, s) arrays.
+
+    Candidates run in itertools.product order over the flattened entries and
+    are rank-tested MATRIX_CHUNK at a time.  The number found is checked
+    against the closed-form group order once the scan ends.
+    """
+    if not is_prime(p):
+        raise ValueError(f"{p} is not prime")
+    if s < 1:
+        raise ValueError(f"dimension must be >= 1, got {s}")
+    total = p ** (s * s)
+    budget.check("max_matrix_candidates", total)
+    if s * (p - 1) ** 2 >= 1 << 63:
+        raise ValueError(f"p={p} is too large for int64 matrix products")
+    strides = np.array([p ** (s * s - 1 - cell) for cell in range(s * s)], dtype=np.int64)
+    found = 0
+    for lo in range(0, total, MATRIX_CHUNK):
+        idx = np.arange(lo, min(total, lo + MATRIX_CHUNK), dtype=np.int64)
+        cand = (idx[:, None] // strides % p).reshape(-1, s, s)
+        invertible = cand[rank_mod_p_batch(cand, p) == s]
+        found += len(invertible)
+        yield invertible
+    expected = general_linear_order(p, s)
+    if found != expected:
+        raise IntegralityError(
+            f"found {found} invertible matrices over F_{p}^{s}, "
+            f"expected {expected}"
+        )
+
+
 def enumerate_invertible_matrices(
     p: int, s: int, budget: Budget = DEFAULT_BUDGET
 ) -> list[Matrix]:
     """All invertible s x s matrices over the p-element field.
 
     The count is checked against the closed-form group order, so this
-    doubles as a consistency gate for rank_mod_p.
+    doubles as a consistency gate for the batched rank test.
     """
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
-    if s < 1:
-        raise ValueError(f"dimension must be >= 1, got {s}")
-    budget.check("max_matrix_candidates", p ** (s * s))
-    matrices = [
-        mat
-        for mat in (
-            tuple(flat[i * s : (i + 1) * s] for i in range(s))
-            for flat in itertools.product(tuple(range(p)), repeat=s * s)
-        )
-        if rank_mod_p(mat, p) == s
+    return [
+        tuple(tuple(row) for row in mat)
+        for chunk in _invertible_matrix_chunks(p, s, budget)
+        for mat in chunk.tolist()
     ]
-    expected = general_linear_order(p, s)
-    if len(matrices) != expected:
-        raise IntegralityError(
-            f"found {len(matrices)} invertible matrices over F_{p}^{s}, "
-            f"expected {expected}"
-        )
-    return matrices
-
-
-def _mat_mul_mod(a: Matrix, b: Matrix, p: int) -> Matrix:
-    s = len(a)
-    return tuple(
-        tuple(sum(a[i][t] * b[t][j] for t in range(s)) % p for j in range(s))
-        for i in range(s)
-    )
 
 
 def n_elementary_abelian(p: int, s: int, n: int, budget: Budget = DEFAULT_BUDGET) -> int:
     """Orbit count for the direct sum of s copies of C_p.
 
-    Fixed elements and fixed characters of a matrix power are both counted
-    by the corank of (A**r - I) over the p-element field, so each matrix
-    contributes a pure power of p per cycle type.
+    A matrix power A**r fixes p**corank(A**r - I) elements, and as many
+    characters, so the invertible matrices are tallied by their corank
+    profile over r = 1..n and the census goes through the cycle-index
+    kernel.  Matrix powers and coranks are computed batch by batch.
     """
     if s < 1:
         raise ValueError(f"rank must be >= 1, got {s}")
     if n < 1:
         raise ValueError(f"tuple length must be >= 1, got {n}")
-    matrices = enumerate_invertible_matrices(p, s, budget)
-    identity = tuple(tuple(int(i == j) for j in range(s)) for i in range(s))
-    types = [(lam.permutation_count(), lam.multiplicities) for lam in cycle_types(n)]
-    total = 0
-    for mat in matrices:
-        coranks = []
-        power = mat
-        for r in range(1, n + 1):
-            difference = tuple(
-                tuple(power[i][j] - identity[i][j] for j in range(s)) for i in range(s)
-            )
-            coranks.append(s - rank_mod_p(difference, p))
-            if r < n:
-                power = _mat_mul_mod(power, mat, p)
-        for perm_count, mults in types:
-            exponent = sum(
-                2 * coranks[r - 1] * mult for r, mult in enumerate(mults, start=1)
-            )
-            total += perm_count * p**exponent
-    value = Fraction(total, len(matrices) * math.factorial(n))
+    census: Counter = Counter()
+    order = 0
+    for mats in _invertible_matrix_chunks(p, s, budget):
+        order += len(mats)
+        identity = np.eye(s, dtype=np.int64)
+        coranks = np.empty((len(mats), n), dtype=np.int64)
+        power = mats
+        for r in range(n):
+            coranks[:, r] = s - rank_mod_p_batch(power - identity, p)
+            if r + 1 < n:
+                power = power @ mats % p
+        rows, counts = np.unique(coranks, axis=0, return_counts=True)
+        for row, count in zip(rows.tolist(), counts.tolist()):
+            census[tuple(p**c for c in row)] += count
+    value = Fraction(cycle_index_sum(census, n), order * math.factorial(n))
     return _as_int(value, f"count for C{p}^{s}, n={n}")
 
 

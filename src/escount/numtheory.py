@@ -8,7 +8,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterator, Sequence
+from typing import Iterator, Mapping, Sequence
 
 
 def is_prime(n: int) -> bool:
@@ -156,6 +156,41 @@ def cycle_types(n: int) -> Iterator[CycleType]:
             yield from rec(t - 1, remaining - t * count, (count,) + suffix)
 
     yield from rec(n, n, ())
+
+
+def cycle_index_sum(census: Mapping[Sequence[int], int], n: int) -> int:
+    """Sum of mult * n! * Z_n(f_1**2, ..., f_n**2) over a fixed-count census.
+
+    `census` maps a profile (f_1, ..., f_n), where f_r counts the elements
+    fixed by the r-th power of an automorphism, to the number of
+    automorphisms with that profile.  Z_n is the cycle index of the
+    symmetric group on n points, so n! * Z_n(a) sums prod_r a_r**m_r over
+    all permutations with m_r cycles of length r.  With a_r = f_r**2 this is
+    the fixed-configuration total of one automorphism over all
+    permutations.  W_k = k! * Z_k obeys the all-integer recurrence
+    W_0 = 1, W_k = sum_{r<=k} a_r * (k-1)!/(k-r)! * W_{k-r}, which takes
+    O(n**2) products per distinct profile instead of one per cycle type.
+    """
+    if n < 1:
+        raise ValueError(f"cycle_index_sum needs n >= 1, got {n}")
+    # falling[k][r - 1] = (k-1)!/(k-r)! for 1 <= r <= k.
+    falling: list[list[int]] = [[]]
+    for k in range(1, n + 1):
+        row = [1]
+        for r in range(1, k):
+            row.append(row[-1] * (k - r))
+        falling.append(row)
+    total = 0
+    for profile, mult in census.items():
+        if len(profile) != n:
+            raise ValueError(f"profile {tuple(profile)} does not have length {n}")
+        a = [int(f) ** 2 for f in profile]
+        w = [1]
+        for k in range(1, n + 1):
+            row = falling[k]
+            w.append(sum(row[r - 1] * a[r - 1] * w[k - r] for r in range(1, k + 1)))
+        total += int(mult) * w[n]
+    return total
 
 
 def multiplicative_order(i: int, modulus: int) -> int:

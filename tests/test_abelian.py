@@ -21,6 +21,7 @@ from escount.abelian import (
     parse_group,
     pullback_character,
     rank_mod_p,
+    rank_mod_p_batch,
 )
 from escount.budget import Budget, BudgetExceededError
 from escount.closed_form import general_linear_order
@@ -141,6 +142,14 @@ def test_endo_matrix_apply_compose_power():
     swap = EndoMatrix(klein, ((0, 1), (1, 0)))
     assert swap.apply((1, 0)) == (0, 1)
     assert swap.compose(swap) == EndoMatrix.identity(klein)
+    group = parse_group("C2xC4xC8")
+    identity = EndoMatrix.identity(group)
+    for auto in enumerate_automorphisms(group):
+        assert auto.power(0) == identity
+        folded = identity
+        for r in range(1, 13):
+            folded = folded.compose(auto)
+            assert auto.power(r) == folded
 
 
 def test_enumerate_automorphisms_trivial_group():
@@ -294,6 +303,32 @@ def test_rank_mod_p_row_span_oracle():
         for flat in itertools.product(range(p), repeat=4):
             mat = [list(flat[:2]), list(flat[2:])]
             assert p ** rank_mod_p(mat, p) == span_size(mat, p)
+
+
+def test_rank_mod_p_batch_matches_rank_mod_p():
+    import itertools
+    import random
+
+    stacks = []
+    for p in (2, 3):
+        for s in (2, 3):
+            flat = np.array(list(itertools.product(range(p), repeat=s * s)))
+            stacks.append((p, flat.reshape(-1, s, s)))
+    rng = random.Random(20061)
+    for p in (5, 7):
+        sample = np.array(
+            [[rng.randrange(p) for _ in range(16)] for _ in range(400)]
+        ).reshape(-1, 4, 4)
+        # Make over a quarter of the sample singular on purpose: row 3
+        # becomes a combination of rows 0 and 1, or zero.
+        sample[:100, 3] = (2 * sample[:100, 0] + sample[:100, 1]) % p
+        sample[100:110, 3] = 0
+        stacks.append((p, sample))
+    for p, stack in stacks:
+        batched = rank_mod_p_batch(stack, p)
+        assert batched.tolist() == [rank_mod_p(mat.tolist(), p) for mat in stack]
+        assert (batched < stack.shape[1]).any()
+    assert rank_mod_p_batch(np.zeros((0, 3, 3), dtype=np.int64), 5).shape == (0,)
 
 
 def test_esc_validation():

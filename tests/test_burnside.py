@@ -2,12 +2,16 @@
 and the orbit-counting routines."""
 import itertools
 import math
+import random
 
 import pytest
 
+from escount import burnside
 from escount.abelian import (
     ESC,
     EndoMatrix,
+    count_character_solutions,
+    count_element_solutions,
     element_list,
     enumerate_automorphisms,
     parse_group,
@@ -16,6 +20,7 @@ from escount.budget import Budget, BudgetExceededError
 from escount.burnside import (
     act,
     compose_permutations,
+    fixed_count_profiles,
     fixed_point_report,
     fixed_points_by_cycles,
     fixed_points_naive,
@@ -212,6 +217,36 @@ def test_fixed_points_by_cycles_matches_naive_length_three():
 def test_orbit_count_congruence_matches_oracle():
     for (spec, n), expected in ORACLE_COUNTS.items():
         assert orbit_count_congruence(parse_group(spec), n) == expected, (spec, n)
+
+
+def test_fixed_count_profiles_match_element_and_character_solutions():
+    # Fact 1: phi**r fixes as many characters as elements.  The congruence
+    # path counts fixed elements only and squares them, so every batched
+    # profile entry is checked against both direct counts.
+    rng = random.Random(1955)
+    for group in small_groups(16):
+        autos = enumerate_automorphisms(group)
+        if group == parse_group("C2^4"):
+            autos = rng.sample(autos, 500)
+        profiles = fixed_count_profiles(group, autos, 4)
+        for auto, profile in zip(autos, profiles.tolist()):
+            for r, fixed in enumerate(profile, start=1):
+                assert fixed == count_element_solutions(auto, r), (group, auto, r)
+                assert fixed == count_character_solutions(auto, r), (group, auto, r)
+
+
+def test_orbit_count_congruence_builds_no_index_permutations(monkeypatch):
+    def refuse(auto):
+        raise AssertionError("the congruence path must not build permutations")
+
+    monkeypatch.setattr(burnside, "element_permutation", refuse)
+    monkeypatch.setattr(burnside, "character_permutation", refuse)
+    group = parse_group("C2xC4")
+    # 6481: the naive scan with max_state_space raised to 2**20.
+    assert orbit_count_congruence(group, 3) == 6481
+    # The naive oracle still builds both permutations, so it is refused here.
+    with pytest.raises(AssertionError):
+        orbit_count_naive(group, 1)
 
 
 def test_orbit_count_naive_matches_oracle():

@@ -1,11 +1,14 @@
 """Tests for the closed-form orbit counts: shape exponents, prime-power and
 general cyclic sums, the elementary-abelian matrix average, and the
 special-case formulas."""
+import itertools
+
 import pytest
 
-from escount.abelian import parse_group
+from escount import burnside, closed_form
+from escount.abelian import parse_group, rank_mod_p
 from escount.budget import BudgetExceededError
-from escount.burnside import orbit_count_naive
+from escount.burnside import orbit_count_congruence, orbit_count_naive
 from escount.closed_form import (
     FORMULA_EVALUATORS,
     closed_count,
@@ -172,6 +175,40 @@ def test_enumerate_invertible_matrices_budget():
     with pytest.raises(BudgetExceededError) as excinfo:
         enumerate_invertible_matrices(2, 5)
     assert excinfo.value.limit_name == "max_matrix_candidates"
+
+
+@pytest.fixture(params=[None, 1, 7], ids=["default-chunk", "chunk-1", "chunk-7"])
+def chunk(request, monkeypatch):
+    """Batch sizes of both census producers: the defaults, or 1 and 7 so
+    that every batch edge is crossed."""
+    if request.param is not None:
+        monkeypatch.setattr(closed_form, "MATRIX_CHUNK", request.param)
+        monkeypatch.setattr(burnside, "PROFILE_CHUNK", request.param)
+    return request.param
+
+
+def test_enumerate_invertible_matrices_match_rank_mod_p(chunk):
+    for p, s in ((2, 2), (3, 2), (2, 3)):
+        expected = [
+            mat
+            for mat in (
+                tuple(flat[i * s : (i + 1) * s] for i in range(s))
+                for flat in itertools.product(range(p), repeat=s * s)
+            )
+            if rank_mod_p(mat, p) == s
+        ]
+        assert enumerate_invertible_matrices(p, s) == expected
+
+
+def test_n_elementary_abelian_matches_congruence(chunk):
+    cases = [(p, s, n) for p, s in ((2, 3), (3, 2), (5, 2)) for n in range(1, 5)]
+    if chunk is None:
+        # C2^4 has 65,536 candidate matrices: one batch each would take
+        # about 20 s per n, so it runs at the default batch size only.
+        cases += [(2, 4, 1), (2, 4, 2)]
+    for p, s, n in cases:
+        group = parse_group(f"C{p}^{s}")
+        assert n_elementary_abelian(p, s, n) == orbit_count_congruence(group, n), (p, s, n)
 
 
 def test_n_elementary_abelian_golden():

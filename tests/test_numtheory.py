@@ -9,6 +9,7 @@ import pytest
 
 from escount.numtheory import (
     CycleType,
+    cycle_index_sum,
     cycle_types,
     delta_census,
     delta_vector,
@@ -177,6 +178,35 @@ def test_two_power_unit_decomposition_bijection():
             assert sign * pow(5, nu, mod) % mod == i
             seen.add((sign, nu))
         assert len(seen) == euler_phi(mod)
+
+
+def test_cycle_index_sum_matches_cycle_type_sum():
+    import random
+
+    rng = random.Random(1988)
+    for n in range(1, 11):
+        census = Counter()
+        for _ in range(6):
+            profile = tuple(rng.choice((1, 2, 3, 4, 8, 9, 27, 64)) for _ in range(n))
+            census[profile] += rng.randint(1, 50)
+        expected = 0
+        for profile, mult in census.items():
+            a = [f * f for f in profile]
+            expected += mult * sum(
+                lam.permutation_count()
+                * math.prod(a[r - 1] ** m for r, m in enumerate(lam.multiplicities, start=1))
+                for lam in cycle_types(n)
+            )
+        assert cycle_index_sum(census, n) == expected, n
+        assert cycle_index_sum({(1,) * n: 1}, n) == math.factorial(n)
+
+
+def test_cycle_index_sum_validation():
+    assert cycle_index_sum({}, 3) == 0
+    with pytest.raises(ValueError):
+        cycle_index_sum({(): 1}, 0)
+    with pytest.raises(ValueError):
+        cycle_index_sum({(1, 1): 1}, 3)
 
 
 def test_delta_vector_examples():
