@@ -244,6 +244,22 @@ def element_images(group: AbelianGroup, matrices: np.ndarray) -> np.ndarray:
     return images @ index_weights
 
 
+def character_images(group: AbelianGroup, matrices: np.ndarray) -> np.ndarray:
+    """Character-index images under a stack of automorphism matrices.
+
+    Row t of the (k, |G|) result lists, for every character in element_list
+    order, the index of that character composed with the inverse of
+    automorphism t, as character_permutation does one at a time.  The
+    character with exponents l composed with phi has exponents D l, where
+    D[j][i] = phi[i][j] * m_j / m_i; the division is exact and D is itself
+    an endomorphism matrix, so these pullbacks go through element_images,
+    and inverting each row gives the action of the inverse automorphism.
+    """
+    mods = np.array(group.moduli, dtype=np.int64)
+    dual = matrices.transpose(0, 2, 1) * mods[:, None] // mods[None, :]
+    return np.argsort(element_images(group, dual), axis=1)
+
+
 def _candidate_value_counts(group: AbelianGroup) -> list[list[int]]:
     """Number of admissible values per matrix cell (gcd of the two moduli)."""
     mods = group.moduli
@@ -295,7 +311,6 @@ def enumerate_automorphisms(
     return tuple(kept)
 
 
-@lru_cache(maxsize=None)
 def invert_automorphism(auto: EndoMatrix) -> EndoMatrix:
     """Matrix of the inverse map; raises ValueError if `auto` is not bijective."""
     group = auto.group
@@ -335,7 +350,6 @@ def pullback_character(endo: EndoMatrix, chi: Character) -> Character:
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
 def element_permutation(auto: EndoMatrix) -> tuple[int, ...]:
     """The permutation of element indices induced by an automorphism."""
     group = auto.group
@@ -343,7 +357,6 @@ def element_permutation(auto: EndoMatrix) -> tuple[int, ...]:
     return tuple(idx[auto.apply(el)] for el in element_list(group))
 
 
-@lru_cache(maxsize=None)
 def character_permutation(auto: EndoMatrix) -> tuple[int, ...]:
     """The permutation of character indices: chi goes to chi composed with
     the inverse automorphism."""

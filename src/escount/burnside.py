@@ -21,12 +21,11 @@ from .abelian import (
     ESC,
     AbelianGroup,
     EndoMatrix,
-    character_permutation,
+    character_images,
     count_character_solutions,
     count_element_solutions,
     element_images,
     element_list,
-    element_permutation,
     enumerate_automorphisms,
     invert_automorphism,
     pullback_character,
@@ -76,15 +75,62 @@ def _state_space_size(group: AbelianGroup, n: int) -> int:
     return group.order ** (2 * n)
 
 
-def _digit_arrays(m: int, n: int) -> list[np.ndarray]:
+def _digit_arrays(m: int, n: int) -> tuple[np.ndarray, ...]:
     """Digit arrays of all base-m states with 2n slots, slot 0 most significant."""
-    size = m ** (2 * n)
-    idx = np.arange(size, dtype=np.int64)
-    out = []
-    for slot in range(2 * n):
-        stride = m ** (2 * n - 1 - slot)
-        out.append((idx // stride) % m)
-    return out
+    return np.unravel_index(np.arange(m ** (2 * n)), (m,) * (2 * n))
+
+
+# Cells of the image arrays (automorphisms x elements x rank) per batch, the
+# same measure enumerate_automorphisms chunks by.
+PROFILE_CHUNK = 1 << 20
+
+
+def _batch_size(group: AbelianGroup) -> int:
+    return max(1, PROFILE_CHUNK // (group.order * max(1, group.rank)))
+
+
+def _matrix_stack(group: AbelianGroup, autos: Sequence[EndoMatrix]) -> np.ndarray:
+    s = group.rank
+    return np.array([auto.rows for auto in autos], dtype=np.int64).reshape(len(autos), s, s)
+
+
+def _automorphism_images(
+    group: AbelianGroup, autos: Sequence[EndoMatrix]
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Element and character index images of each automorphism in turn,
+    built in batches of PROFILE_CHUNK image cells."""
+    chunk = _batch_size(group)
+    for lo in range(0, len(autos), chunk):
+        mats = _matrix_stack(group, autos[lo : lo + chunk])
+        yield from zip(element_images(group, mats), character_images(group, mats))
+
+
+def _gather(
+    digits: tuple[np.ndarray, ...], elem_images: np.ndarray, char_images: np.ndarray
+) -> list[np.ndarray]:
+    """Every state's (element, character) pair at each position, moved by
+    one automorphism and packed as element * m**n + character."""
+    n = len(digits) // 2
+    shift = len(elem_images) ** n
+    return [elem_images[digits[j]] * shift + char_images[digits[n + j]] for j in range(n)]
+
+
+def _state_image(gathered: list[np.ndarray], sigma: Permutation, m: int) -> np.ndarray:
+    """Index of every state's image under one action pair.
+
+    `gathered` holds the packed pairs already moved by the automorphism, and
+    sigma sends the pair at position j to position sigma[j].  In base m, a
+    state index is the element digits followed by the character digits,
+    which is the packed pairs read as base-m digits in position order.
+    """
+    source = [0] * len(sigma)
+    for j, target in enumerate(sigma):
+        source[target] = j
+    image = gathered[source[0]].copy()
+    for j in source[1:]:
+        image *= m
+        image += gathered[j]
+    return image
 
 
 def fixed_points_naive(pair: ActionPair, budget: Budget = DEFAULT_BUDGET) -> int:
@@ -92,16 +138,12 @@ def fixed_points_naive(pair: ActionPair, budget: Budget = DEFAULT_BUDGET) -> int
     auto, sigma = pair
     group = auto.group
     n = len(sigma)
-    budget.check("max_state_space", _state_space_size(group, n))
-    m = group.order
-    digits = _digit_arrays(m, n)
-    elem_perm = np.array(element_permutation(auto), dtype=np.int64)
-    char_perm = np.array(character_permutation(auto), dtype=np.int64)
-    mask = np.ones(m ** (2 * n), dtype=bool)
-    for j in range(n):
-        mask &= elem_perm[digits[j]] == digits[sigma[j]]
-        mask &= char_perm[digits[n + j]] == digits[n + sigma[j]]
-    return int(mask.sum())
+    size = _state_space_size(group, n)
+    budget.check("max_state_space", size)
+    digits = _digit_arrays(group.order, n)
+    gathered = _gather(digits, *next(_automorphism_images(group, [auto])))
+    image = _state_image(gathered, sigma, group.order)
+    return int(np.count_nonzero(image == np.arange(size)))
 
 
 def fixed_points_by_cycles(
@@ -152,26 +194,24 @@ def fixed_point_report(
 
     m = group.order
     digits = _digit_arrays(m, n)
+    states = np.arange(size)
+    sigmas_by_type: dict[CycleType, list[Permutation]] = {}
+    for sigma in permutations_of(n):
+        sigmas_by_type.setdefault(CycleType.from_permutation(sigma), []).append(sigma)
     counts: dict[tuple[int, CycleType], int] = {}
     total = 0
-    for a_idx, auto in enumerate(autos):
-        elem_perm = np.array(element_permutation(auto), dtype=np.int64)
-        char_perm = np.array(character_permutation(auto), dtype=np.int64)
-        elem_images = [elem_perm[digits[j]] for j in range(n)]
-        char_images = [char_perm[digits[n + j]] for j in range(n)]
-        for sigma in permutations_of(n):
-            mask = np.ones(size, dtype=bool)
-            for j in range(n):
-                mask &= elem_images[j] == digits[sigma[j]]
-                mask &= char_images[j] == digits[n + sigma[j]]
-            fixed = int(mask.sum())
-            key = (a_idx, CycleType.from_permutation(sigma))
-            if key in counts and counts[key] != fixed:
-                raise IntegralityError(
-                    f"fixed-point count for {group} varies within a cycle type"
-                )
-            counts[key] = fixed
-            total += fixed
+    for a_idx, images in enumerate(_automorphism_images(group, autos)):
+        gathered = _gather(digits, *images)
+        for ctype, sigmas in sigmas_by_type.items():
+            for sigma in sigmas:
+                fixed = int(np.count_nonzero(_state_image(gathered, sigma, m) == states))
+                key = (a_idx, ctype)
+                if key in counts and counts[key] != fixed:
+                    raise IntegralityError(
+                        f"fixed-point count for {group} varies within a cycle type"
+                    )
+                counts[key] = fixed
+                total += fixed
     denominator = len(autos) * math.factorial(n)
     if total % denominator:
         raise IntegralityError(
@@ -186,11 +226,6 @@ def orbit_count_naive(group: AbelianGroup, n: int, budget: Budget = DEFAULT_BUDG
     return fixed_point_report(group, n, budget).orbit_count
 
 
-# Cells of the image array (automorphisms x elements x rank) per batch of
-# fixed-count profiles, the same measure enumerate_automorphisms chunks by.
-PROFILE_CHUNK = 1 << 20
-
-
 def fixed_count_profiles(
     group: AbelianGroup, autos: Sequence[EndoMatrix], n: int
 ) -> np.ndarray:
@@ -199,9 +234,7 @@ def fixed_count_profiles(
     All automorphisms are mapped over all elements at once; each power is
     one more gather through the element-index permutation.
     """
-    s = group.rank
-    mats = np.array([auto.rows for auto in autos], dtype=np.int64)
-    perms = element_images(group, mats.reshape(len(autos), s, s))
+    perms = element_images(group, _matrix_stack(group, autos))
     identity = np.arange(group.order, dtype=np.int64)
     profiles = np.empty((len(autos), n), dtype=np.int64)
     power = perms
@@ -227,7 +260,7 @@ def orbit_count_congruence(
     if n < 1:
         raise ValueError(f"tuple length must be >= 1, got {n}")
     autos = enumerate_automorphisms(group, budget)
-    chunk = max(1, PROFILE_CHUNK // (group.order * max(1, group.rank)))
+    chunk = _batch_size(group)
     census: Counter = Counter()
     for lo in range(0, len(autos), chunk):
         profiles = fixed_count_profiles(group, autos[lo : lo + chunk], n)
@@ -243,43 +276,21 @@ def orbit_count_congruence(
     return total // denominator
 
 
-class UnionFind:
-    """Union-find over a fixed range of integer states."""
-
-    def __init__(self, size: int):
-        self.parent = list(range(size))
-
-    def find(self, x: int) -> int:
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
-
-    def union(self, a: int, b: int) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            if ra > rb:
-                ra, rb = rb, ra
-            self.parent[rb] = ra
-
-
-def _generating_automorphisms(
-    autos: tuple[EndoMatrix, ...]
-) -> list[EndoMatrix]:
-    """A small generating set, found greedily on the index permutations."""
-    if len(autos) <= 64:
-        return list(autos)
-    perms = [element_permutation(a) for a in autos]
-    identity = tuple(range(len(perms[0])))
-    generated = {identity}
-    generators: list[EndoMatrix] = []
+def _generator_images(
+    group: AbelianGroup, autos: Sequence[EndoMatrix]
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Element and character images of a small generating set of `autos`,
+    found greedily on the element images."""
+    generated = {tuple(range(group.order))}
+    generators: list[tuple[np.ndarray, np.ndarray]] = []
     generator_perms: list[tuple[int, ...]] = []
-    for auto, perm in zip(autos, perms):
+    for elem_images, char_images in _automorphism_images(group, autos):
+        if len(generated) == len(autos):
+            break
+        perm = tuple(elem_images.tolist())
         if perm in generated:
             continue
-        generators.append(auto)
+        generators.append((elem_images, char_images))
         generator_perms.append(perm)
         frontier = list(generated)
         while frontier:
@@ -289,8 +300,6 @@ def _generating_automorphisms(
                 if product not in generated:
                     generated.add(product)
                     frontier.append(product)
-        if len(generated) == len(autos):
-            break
     return generators
 
 
@@ -302,67 +311,49 @@ def _sigma_generators(n: int) -> list[Permutation]:
     return list({swap, rotate})
 
 
-def _orbit_roots(
-    group: AbelianGroup, n: int, budget: Budget
-) -> tuple[UnionFind, int]:
+def _orbit_labels(group: AbelianGroup, n: int, budget: Budget) -> np.ndarray:
+    """The least state index in the orbit of every state.
+
+    Labels start as the states themselves; each pass takes, per generator
+    image map, the smaller of a state's label and its image's label, then
+    jumps every label to its label's label, until nothing changes.
+    """
     size = _state_space_size(group, n)
     budget.check("max_state_space", size)
     autos = enumerate_automorphisms(group, budget)
     m = group.order
     digits = _digit_arrays(m, n)
-    strides = [m ** (2 * n - 1 - slot) for slot in range(2 * n)]
-
-    image_maps: list[np.ndarray] = []
-    for auto in _generating_automorphisms(autos):
-        elem_perm = np.array(element_permutation(auto), dtype=np.int64)
-        char_perm = np.array(character_permutation(auto), dtype=np.int64)
-        image = np.zeros(size, dtype=np.int64)
-        for j in range(n):
-            image += elem_perm[digits[j]] * strides[j]
-            image += char_perm[digits[n + j]] * strides[n + j]
-        image_maps.append(image)
-    for sigma in _sigma_generators(n):
-        image = np.zeros(size, dtype=np.int64)
-        for j in range(n):
-            image += digits[j] * strides[sigma[j]]
-            image += digits[n + j] * strides[n + sigma[j]]
-        image_maps.append(image)
-
-    uf = UnionFind(size)
-    for image in image_maps:
-        for state in range(size):
-            uf.union(state, int(image[state]))
-    return uf, size
-
-
-def _state_to_esc(group: AbelianGroup, n: int, state: int) -> ESC:
-    els = element_list(group)
-    m = group.order
-    slots = []
-    for _ in range(2 * n):
-        state, digit = divmod(state, m)
-        slots.append(digit)
-    slots.reverse()
-    return ESC(
-        tuple(els[d] for d in slots[:n]),
-        tuple(els[d] for d in slots[n:]),
-    )
+    identity = identity_permutation(n)
+    image_maps = [
+        _state_image(_gather(digits, *images), identity, m)
+        for images in _generator_images(group, autos)
+    ]
+    unmoved = _gather(digits, np.arange(m), np.arange(m))
+    image_maps += [_state_image(unmoved, sigma, m) for sigma in _sigma_generators(n)]
+    labels = np.arange(size, dtype=np.int64)
+    while True:
+        previous = labels
+        for image in image_maps:
+            labels = np.minimum(labels, labels[image])
+        labels = labels[labels]
+        if np.array_equal(labels, previous):
+            return labels
 
 
 def orbit_enumerate(
     group: AbelianGroup, n: int, budget: Budget = DEFAULT_BUDGET
 ) -> list[ESC]:
     """Lexicographically least representative of every orbit, in order."""
-    uf, size = _orbit_roots(group, n, budget)
-    reps = sorted({uf.find(state) for state in range(size)})
-    return [_state_to_esc(group, n, state) for state in reps]
+    els = element_list(group)
+    reps = np.unique(_orbit_labels(group, n, budget))
+    slots = np.unravel_index(reps, (group.order,) * (2 * n))
+    return [
+        ESC(tuple(els[d] for d in row[:n]), tuple(els[d] for d in row[n:]))
+        for row in np.transpose(slots).tolist()
+    ]
 
 
 def orbit_sizes(group: AbelianGroup, n: int, budget: Budget = DEFAULT_BUDGET) -> list[int]:
     """Orbit sizes aligned with the representatives from orbit_enumerate."""
-    uf, size = _orbit_roots(group, n, budget)
-    tally: dict[int, int] = {}
-    for state in range(size):
-        root = uf.find(state)
-        tally[root] = tally.get(root, 0) + 1
-    return [tally[root] for root in sorted(tally)]
+    _, sizes = np.unique(_orbit_labels(group, n, budget), return_counts=True)
+    return sizes.tolist()

@@ -62,14 +62,6 @@ class ReferenceRow:
     match: bool
 
 
-def _method_naive(group: AbelianGroup, n: int, budget: Budget) -> int:
-    return orbit_count_naive(group, n, budget)
-
-
-def _method_congruence(group: AbelianGroup, n: int, budget: Budget) -> int:
-    return orbit_count_congruence(group, n, budget)
-
-
 def _method_cyclic(group: AbelianGroup, n: int, budget: Budget) -> int:
     return n_cyclic(group.order, n)
 
@@ -85,8 +77,8 @@ def _method_elementary(group: AbelianGroup, n: int, budget: Budget) -> int:
 
 
 METHODS = {
-    "naive": _method_naive,
-    "congruence": _method_congruence,
+    "naive": orbit_count_naive,
+    "congruence": orbit_count_congruence,
     "cyclic": _method_cyclic,
     "prime_power": _method_prime_power,
     "elementary": _method_elementary,

@@ -1,5 +1,7 @@
 """Tests for group parsing, element/character streams, endomorphism
 matrices, automorphism enumeration, and character pullbacks."""
+import random
+
 import numpy as np
 import pytest
 
@@ -9,9 +11,12 @@ from escount.abelian import (
     EndoMatrix,
     GroupParseError,
     canonical_spec,
+    character_images,
+    character_permutation,
     characters,
     count_character_solutions,
     count_element_solutions,
+    element_images,
     element_list,
     element_permutation,
     elements,
@@ -237,6 +242,28 @@ def test_pullback_matches_pairing_on_all_small_groups():
             )
             preimage_perm = np.array(element_permutation(inverse), dtype=np.intp)
             assert np.array_equal(table[pulled], table[:, preimage_perm])
+
+
+def test_batched_images_match_per_automorphism_permutations():
+    # character_images reaches chi composed with the inverse automorphism
+    # through the dual matrix, so every row is checked against the
+    # one-at-a-time inversion and pullback of character_permutation.
+    rng = random.Random(2006)
+    groups = small_groups(16) + [
+        parse_group(spec) for spec in ("C2xC4xC8", "C3xC9", "C2^2xC3^2")
+    ]
+    assert AbelianGroup(()) in groups
+    for group in groups:
+        autos = enumerate_automorphisms(group)
+        if len(autos) > 1000:  # C2^4 and C2xC4xC8
+            autos = rng.sample(autos, 500)
+        s = group.rank
+        mats = np.array([auto.rows for auto in autos], dtype=np.int64).reshape(len(autos), s, s)
+        elem_rows = element_images(group, mats).tolist()
+        char_rows = character_images(group, mats).tolist()
+        for auto, elem_row, char_row in zip(autos, elem_rows, char_rows):
+            assert tuple(elem_row) == element_permutation(auto), (group, auto)
+            assert tuple(char_row) == character_permutation(auto), (group, auto)
 
 
 def test_count_solutions_examples():

@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from escount import burnside
+from escount import abelian, burnside
 from escount.abelian import (
     ESC,
     EndoMatrix,
@@ -235,18 +235,46 @@ def test_fixed_count_profiles_match_element_and_character_solutions():
                 assert fixed == count_character_solutions(auto, r), (group, auto, r)
 
 
-def test_orbit_count_congruence_builds_no_index_permutations(monkeypatch):
-    def refuse(auto):
-        raise AssertionError("the congruence path must not build permutations")
+@pytest.fixture
+def refuse_index_permutations(monkeypatch):
+    """Make the per-automorphism permutation builders raise, in abelian and
+    under any name burnside might import them by."""
 
-    monkeypatch.setattr(burnside, "element_permutation", refuse)
-    monkeypatch.setattr(burnside, "character_permutation", refuse)
+    def refuse(auto):
+        raise AssertionError("permutations must not be built one automorphism at a time")
+
+    for module in (abelian, burnside):
+        for name in ("element_permutation", "character_permutation"):
+            monkeypatch.setattr(module, name, refuse, raising=False)
+
+
+def test_orbit_count_congruence_builds_no_index_permutations(refuse_index_permutations):
     group = parse_group("C2xC4")
     # 6481: the naive scan with max_state_space raised to 2**20.
     assert orbit_count_congruence(group, 3) == 6481
-    # The naive oracle still builds both permutations, so it is refused here.
-    with pytest.raises(AssertionError):
-        orbit_count_naive(group, 1)
+
+
+def test_naive_oracle_builds_permutations_in_batches(refuse_index_permutations):
+    assert orbit_count_naive(parse_group("C2^3"), 2) == 40
+    assert len(orbit_enumerate(parse_group("C2^2"), 1)) == ORACLE_COUNTS[("C2^2", 1)]
+
+
+@pytest.mark.parametrize("spec,n", [("C2^3", 1), ("C2^3", 2), ("C2xC4", 1), ("C4xC4", 1)])
+def test_naive_and_orbit_listing_do_not_depend_on_batch_size(monkeypatch, spec, n):
+    group = parse_group(spec)
+    expected = (
+        orbit_count_naive(group, n),
+        orbit_enumerate(group, n),
+        orbit_sizes(group, n),
+    )
+    assert expected[0] == orbit_count_congruence(group, n)
+    for chunk in (1, 7):
+        monkeypatch.setattr(burnside, "PROFILE_CHUNK", chunk)
+        assert (
+            orbit_count_naive(group, n),
+            orbit_enumerate(group, n),
+            orbit_sizes(group, n),
+        ) == expected, chunk
 
 
 def test_orbit_count_naive_matches_oracle():
@@ -345,7 +373,9 @@ def orbit_representatives_oracle(group, n):
     return reps
 
 
-@pytest.mark.parametrize("spec,n", [("C4", 1), ("C2^2", 1), ("C5", 1), ("C2", 2)])
+@pytest.mark.parametrize(
+    "spec,n", [("C4", 1), ("C2^2", 1), ("C5", 1), ("C2", 2), ("C2xC4", 1), ("C3^2", 1)]
+)
 def test_orbit_enumerate_representatives_are_lex_least(spec, n):
     group = parse_group(spec)
     assert list(orbit_enumerate(group, n)) == orbit_representatives_oracle(group, n)
