@@ -239,7 +239,7 @@ def element_images(group: AbelianGroup, matrices: np.ndarray) -> np.ndarray:
     index_weights = np.array(
         [math.prod(group.moduli[i + 1 :]) for i in range(s)], dtype=np.int64
     )
-    images = np.einsum("nij,kj->nki", matrices, basis)
+    images = basis @ matrices.transpose(0, 2, 1)
     images %= mods
     return images @ index_weights
 
@@ -260,55 +260,57 @@ def character_images(group: AbelianGroup, matrices: np.ndarray) -> np.ndarray:
     return np.argsort(element_images(group, dual), axis=1)
 
 
-def _candidate_value_counts(group: AbelianGroup) -> list[list[int]]:
-    """Number of admissible values per matrix cell (gcd of the two moduli)."""
+# Candidate matrices per batch in the automorphism scan.
+MATRIX_CHUNK = 1 << 14
+
+
+def automorphism_chunks(group: AbelianGroup) -> Iterator[np.ndarray]:
+    """All automorphisms of the group, as (k, s, s) matrix stacks.
+
+    Candidates run in itertools.product order over the admissible values of
+    each cell (the gcd(m_i, m_j) multiples of m_i / gcd(m_i, m_j) below m_i)
+    and are tested MATRIX_CHUNK at a time.  By Hillar and Rhea, an
+    endomorphism of an abelian p-group is an automorphism iff it is
+    invertible mod p.  Cells between different primes are 0, and mod p a
+    cell vanishes when its row factor has the larger exponent, so with the
+    factors sorted the reduced matrix is block-triangular: a candidate is
+    kept iff the block of each factor (p, e) has full rank mod p.
+    """
+    s = group.rank
     mods = group.moduli
-    return [[math.gcd(mi, mj) for mj in mods] for mi in mods]
+    cells = [(i, j, math.gcd(mods[i], mods[j])) for i in range(s) for j in range(s)]
+    total = math.prod(c for _, _, c in cells)
+    blocks = [
+        (p, group.factors.index((p, e)), group.factors.count((p, e)))
+        for p, e in dict.fromkeys(group.factors)
+    ]
+    for lo in range(0, total, MATRIX_CHUNK):
+        idx = np.arange(lo, min(total, lo + MATRIX_CHUNK), dtype=np.int64)
+        cand = np.empty((len(idx), s, s), dtype=np.int64)
+        stride = total
+        for i, j, c in cells:
+            stride //= c
+            cand[:, i, j] = idx // stride % c * (mods[i] // c)
+        for p, start, size in blocks:
+            block = cand[:, start : start + size, start : start + size]
+            cand = cand[rank_mod_p_batch(block, p) == size]
+        yield cand
 
 
 @lru_cache(maxsize=None)
 def enumerate_automorphisms(
     group: AbelianGroup, budget: Budget = DEFAULT_BUDGET
 ) -> tuple[EndoMatrix, ...]:
-    """All automorphisms of the group, in a fixed deterministic order.
-
-    Scans every endomorphism matrix satisfying the per-cell divisibility
-    constraint and keeps the ones that permute the elements.  The scan is
-    vectorized; candidates are filtered in chunks to bound memory.
-    """
+    """All automorphisms of the group, in the order automorphism_chunks
+    finds them."""
     budget.check("max_group_order", group.order)
-    s = group.rank
-    if s == 0:
-        return (EndoMatrix.identity(group),)
-    counts = _candidate_value_counts(group)
-    total = math.prod(c for row in counts for c in row)
-    budget.check("max_endo_candidates", total)
-
-    m = group.order
-    steps = np.array(
-        [[group.moduli[i] // counts[i][j] for j in range(s)] for i in range(s)],
-        dtype=np.int64,
+    mods = group.moduli
+    budget.check("max_endo_candidates", math.prod(math.gcd(a, b) for a in mods for b in mods))
+    return tuple(
+        EndoMatrix(group, tuple(map(tuple, mat)))
+        for stack in automorphism_chunks(group)
+        for mat in stack.tolist()
     )
-    flat_counts = [counts[i][j] for i in range(s) for j in range(s)]
-
-    kept: list[EndoMatrix] = []
-    chunk = max(1, (1 << 22) // max(1, m * s))
-    for lo in range(0, total, chunk):
-        hi = min(total, lo + chunk)
-        idx = np.arange(lo, hi, dtype=np.int64)
-        cand = np.empty((hi - lo, s, s), dtype=np.int64)
-        stride = total
-        for cell, c in enumerate(flat_counts):
-            stride //= c
-            i, j = divmod(cell, s)
-            cand[:, i, j] = (idx // stride) % c * steps[i, j]
-        keys = element_images(group, cand)
-        keys.sort(axis=1)
-        ok = (keys == np.arange(m, dtype=np.int64)).all(axis=1)
-        for t in np.nonzero(ok)[0]:
-            rows = tuple(tuple(int(v) for v in row) for row in cand[t])
-            kept.append(EndoMatrix(group, rows))
-    return tuple(kept)
 
 
 def invert_automorphism(auto: EndoMatrix) -> EndoMatrix:

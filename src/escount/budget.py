@@ -38,8 +38,9 @@ class IntegralityError(RuntimeError):
 class Budget:
     """Caps on the enumeration workloads, tuned for desk-scale experiments.
 
-    max_group_order:       largest group order for which automorphisms and
-                           fixed subgroups are enumerated element by element.
+    max_group_order:       largest group order for the element-by-element
+                           work on automorphisms (their |G|-wide image arrays
+                           and fixed-element counts), not for their scan.
     max_endo_candidates:   largest number of candidate endomorphism matrices
                            scanned when listing automorphisms.
     max_state_space:       largest number of configurations |G|^(2n) for the

@@ -80,8 +80,7 @@ def _digit_arrays(m: int, n: int) -> tuple[np.ndarray, ...]:
     return np.unravel_index(np.arange(m ** (2 * n)), (m,) * (2 * n))
 
 
-# Cells of the image arrays (automorphisms x elements x rank) per batch, the
-# same measure enumerate_automorphisms chunks by.
+# Cells of the image arrays (automorphisms x elements x rank) per batch.
 PROFILE_CHUNK = 1 << 20
 
 
@@ -280,26 +279,28 @@ def _generator_images(
     group: AbelianGroup, autos: Sequence[EndoMatrix]
 ) -> list[tuple[np.ndarray, np.ndarray]]:
     """Element and character images of a small generating set of `autos`,
-    found greedily on the element images."""
-    generated = {tuple(range(group.order))}
+    found greedily on the element images; the generated subgroup is closed
+    over element-image rows, a frontier at a time, keyed by their bytes."""
+    identity = np.arange(group.order, dtype=np.int64)
+    generated = {identity.tobytes()}
+    members = [identity]
     generators: list[tuple[np.ndarray, np.ndarray]] = []
-    generator_perms: list[tuple[int, ...]] = []
     for elem_images, char_images in _automorphism_images(group, autos):
         if len(generated) == len(autos):
             break
-        perm = tuple(elem_images.tolist())
-        if perm in generated:
+        if elem_images.tobytes() in generated:
             continue
         generators.append((elem_images, char_images))
-        generator_perms.append(perm)
-        frontier = list(generated)
-        while frontier:
-            q = frontier.pop()
-            for g in generator_perms:
-                product = tuple(g[x] for x in q)
-                if product not in generated:
-                    generated.add(product)
-                    frontier.append(product)
+        frontier = np.array(members)
+        while len(frontier):
+            fresh = []
+            for row in np.concatenate([g[frontier] for g, _ in generators]):
+                key = row.tobytes()
+                if key not in generated:
+                    generated.add(key)
+                    fresh.append(row)
+            members += fresh
+            frontier = np.array(fresh, dtype=np.int64).reshape(-1, group.order)
     return generators
 
 

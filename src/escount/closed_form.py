@@ -16,7 +16,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .abelian import AbelianGroup, rank_mod_p_batch
+from .abelian import AbelianGroup, automorphism_chunks, rank_mod_p_batch
 from .budget import Budget, DEFAULT_BUDGET, IntegralityError
 from .burnside import orbit_count_congruence
 from .numtheory import (
@@ -232,33 +232,25 @@ def general_linear_order(p: int, s: int) -> int:
     return p ** (s * (s - 1) // 2) * math.prod(p**i - 1 for i in range(1, s + 1))
 
 
-# Candidate matrices per batch in the GL(s, p) scan.
-MATRIX_CHUNK = 1 << 14
-
-
 def _invertible_matrix_chunks(
     p: int, s: int, budget: Budget
 ) -> Iterator[np.ndarray]:
     """All invertible s x s matrices over F_p, as (k, s, s) arrays.
 
-    Candidates run in itertools.product order over the flattened entries and
-    are rank-tested MATRIX_CHUNK at a time.  The number found is checked
-    against the closed-form group order once the scan ends.
+    These are the automorphisms of C_p^s, in the order automorphism_chunks
+    scans them: itertools.product order over the flattened entries.  The
+    number found is checked against the closed-form group order once the
+    scan ends.
     """
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     if s < 1:
         raise ValueError(f"dimension must be >= 1, got {s}")
-    total = p ** (s * s)
-    budget.check("max_matrix_candidates", total)
+    budget.check("max_matrix_candidates", p ** (s * s))
     if s * (p - 1) ** 2 >= 1 << 63:
         raise ValueError(f"p={p} is too large for int64 matrix products")
-    strides = np.array([p ** (s * s - 1 - cell) for cell in range(s * s)], dtype=np.int64)
     found = 0
-    for lo in range(0, total, MATRIX_CHUNK):
-        idx = np.arange(lo, min(total, lo + MATRIX_CHUNK), dtype=np.int64)
-        cand = (idx[:, None] // strides % p).reshape(-1, s, s)
-        invertible = cand[rank_mod_p_batch(cand, p) == s]
+    for invertible in automorphism_chunks(AbelianGroup(((p, 1),) * s)):
         found += len(invertible)
         yield invertible
     expected = general_linear_order(p, s)

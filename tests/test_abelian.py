@@ -1,15 +1,19 @@
 """Tests for group parsing, element/character streams, endomorphism
 matrices, automorphism enumeration, and character pullbacks."""
+import itertools
+import math
 import random
 
 import numpy as np
 import pytest
 
+from escount import abelian
 from escount.abelian import (
     ESC,
     AbelianGroup,
     EndoMatrix,
     GroupParseError,
+    automorphism_chunks,
     canonical_spec,
     character_images,
     character_permutation,
@@ -17,6 +21,7 @@ from escount.abelian import (
     count_character_solutions,
     count_element_solutions,
     element_images,
+    element_index,
     element_list,
     element_permutation,
     elements,
@@ -28,7 +33,7 @@ from escount.abelian import (
     rank_mod_p,
     rank_mod_p_batch,
 )
-from escount.budget import Budget, BudgetExceededError
+from escount.budget import DEFAULT_BUDGET, Budget, BudgetExceededError
 from escount.closed_form import general_linear_order
 from escount.numtheory import euler_phi
 from escount.verify import abelian_groups_of_order
@@ -190,6 +195,90 @@ def test_automorphisms_are_bijective():
             assert len(set(element_permutation(auto))) == group.order
 
 
+def automorphisms_by_image_sort(group):
+    """Reference for enumerate_automorphisms: every admissible matrix in
+    itertools.product order over its cells, kept iff it maps the elements
+    onto all of the group (its sorted element images are 0..|G|-1)."""
+    s = group.rank
+    mods = group.moduli
+    cell_values = [
+        range(0, mods[i], mods[i] // math.gcd(mods[i], mods[j]))
+        for i in range(s)
+        for j in range(s)
+    ]
+    flat = list(itertools.product(*cell_values))
+    candidates = np.array(flat, dtype=np.int64).reshape(len(flat), s, s)
+    kept = []
+    for lo in range(0, len(candidates), 1 << 12):
+        chunk = candidates[lo : lo + (1 << 12)]
+        images = np.sort(element_images(group, chunk), axis=1)
+        kept += chunk[(images == np.arange(group.order)).all(axis=1)].tolist()
+    return tuple(EndoMatrix(group, tuple(map(tuple, mat))) for mat in kept)
+
+
+def hillar_rhea_order(group):
+    """|Aut(G)| in closed form (Hillar and Rhea, 2007), prime by prime.
+
+    With exponents e_1 <= ... <= e_k of the p-part, d_i the last and c_i the
+    first (1-based) position holding e_i, the p-part contributes
+    prod_i (p^d_i - p^(i-1)) * prod_j p^(e_j (k - d_j))
+    * prod_i p^((e_i - 1)(k - c_i + 1)).
+    """
+    order = 1
+    for p in sorted({p for p, _ in group.factors}):
+        exps = [e for q, e in group.factors if q == p]
+        k = len(exps)
+        last = [k - exps[::-1].index(e) for e in exps]
+        first = [exps.index(e) + 1 for e in exps]
+        for i, e in enumerate(exps):
+            order *= p ** last[i] - p**i
+            order *= p ** (e * (k - last[i]))
+            order *= p ** ((e - 1) * (k - first[i] + 1))
+    return order
+
+
+def endo_candidate_count(group):
+    return math.prod(math.gcd(a, b) for a in group.moduli for b in group.moduli)
+
+
+def test_automorphisms_match_image_sort_reference():
+    # Same tuple, same order, as the filter that maps every candidate over
+    # all elements: the Hillar-Rhea block-rank test keeps exactly the
+    # bijective candidates.
+    for group in small_groups(32):
+        if endo_candidate_count(group) > DEFAULT_BUDGET.max_endo_candidates:
+            continue  # C2^5
+        assert enumerate_automorphisms(group) == automorphisms_by_image_sort(group), group
+
+
+def test_automorphism_scan_matches_hillar_rhea_order():
+    checked = 0
+    for group in small_groups(64):
+        if endo_candidate_count(group) > DEFAULT_BUDGET.max_endo_candidates:
+            continue
+        found = 0
+        for stack in automorphism_chunks(group):
+            images = np.sort(element_images(group, stack), axis=1)
+            assert (images == np.arange(group.order)).all(), group
+            found += len(stack)
+        assert found == hillar_rhea_order(group), group
+        checked += 1
+    assert checked > 100
+
+
+@pytest.mark.parametrize("chunk", [1, 7])
+@pytest.mark.parametrize("spec", ["C2xC4", "C3xC9", "C2^2xC4"])
+def test_automorphism_scan_does_not_depend_on_batch_size(spec, chunk, monkeypatch):
+    group = parse_group(spec)
+    monkeypatch.setattr(abelian, "MATRIX_CHUNK", chunk)
+    stacks = list(automorphism_chunks(group))
+    assert max(len(stack) for stack in stacks) <= chunk
+    scanned = tuple(
+        EndoMatrix(group, tuple(map(tuple, mat))) for stack in stacks for mat in stack.tolist()
+    )
+    assert scanned == automorphisms_by_image_sort(group)
+
+
 def test_automorphism_budget():
     with pytest.raises(BudgetExceededError) as excinfo:
         enumerate_automorphisms(parse_group("C2^7"))
@@ -229,18 +318,21 @@ def test_pullback_matches_pairing_on_all_small_groups():
     # group of order at most 16, via the full pairing table.
     for group in small_groups(16):
         els = element_list(group)
-        m = group.order
+        index = element_index(group)
         table = np.array(
             [[pairing_exponent(group, chi, g) for g in els] for chi in els],
             dtype=np.int64,
         )
-        for auto in enumerate_automorphisms(group):
+        autos = enumerate_automorphisms(group)
+        s = group.rank
+        mats = np.array([auto.rows for auto in autos], dtype=np.int64).reshape(len(autos), s, s)
+        preimage_perms = np.argsort(element_images(group, mats), axis=1)
+        for auto, preimage_perm in zip(autos, preimage_perms):
             inverse = invert_automorphism(auto)
             pulled = np.array(
-                [els.index(pullback_character(inverse, chi)) for chi in els],
+                [index[pullback_character(inverse, chi)] for chi in els],
                 dtype=np.intp,
             )
-            preimage_perm = np.array(element_permutation(inverse), dtype=np.intp)
             assert np.array_equal(table[pulled], table[:, preimage_perm])
 
 

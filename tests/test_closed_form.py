@@ -5,7 +5,7 @@ import itertools
 
 import pytest
 
-from escount import burnside, closed_form
+from escount import abelian, burnside
 from escount.abelian import parse_group, rank_mod_p
 from escount.budget import BudgetExceededError
 from escount.burnside import orbit_count_congruence, orbit_count_naive
@@ -182,7 +182,7 @@ def chunk(request, monkeypatch):
     """Batch sizes of both census producers: the defaults, or 1 and 7 so
     that every batch edge is crossed."""
     if request.param is not None:
-        monkeypatch.setattr(closed_form, "MATRIX_CHUNK", request.param)
+        monkeypatch.setattr(abelian, "MATRIX_CHUNK", request.param)
         monkeypatch.setattr(burnside, "PROFILE_CHUNK", request.param)
     return request.param
 
