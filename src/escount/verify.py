@@ -2,9 +2,10 @@
 
 Every group admits at least the naive scan and the congruence-style
 average; cyclic, prime-power and elementary abelian groups add closed
-forms.  cross_check runs all applicable methods on one case, sweep runs
-every abelian group up to an order bound, and check_reference_values
-recomputes a table of known counts from scratch.
+forms, and cyclic groups also the unit census that closed_count uses.
+cross_check runs all applicable methods on one case, sweep runs every
+abelian group up to an order bound, and check_reference_values recomputes
+a table of known counts from scratch.
 """
 from __future__ import annotations
 
@@ -20,6 +21,7 @@ from .closed_form import (
     formula_prime_power_n2,
     formula_squarefree_n1,
     n_cyclic,
+    n_cyclic_census,
     n_cyclic_prime_power,
     n_elementary_abelian,
 )
@@ -66,6 +68,10 @@ def _method_cyclic(group: AbelianGroup, n: int, budget: Budget) -> int:
     return n_cyclic(group.order, n)
 
 
+def _method_unit_census(group: AbelianGroup, n: int, budget: Budget) -> int:
+    return n_cyclic_census(group.order, n)
+
+
 def _method_prime_power(group: AbelianGroup, n: int, budget: Budget) -> int:
     ((p, e),) = group.factors
     return n_cyclic_prime_power(p, e, n)
@@ -80,6 +86,7 @@ METHODS = {
     "naive": orbit_count_naive,
     "congruence": orbit_count_congruence,
     "cyclic": _method_cyclic,
+    "unit_census": _method_unit_census,
     "prime_power": _method_prime_power,
     "elementary": _method_elementary,
 }
@@ -89,7 +96,7 @@ def applicable_methods(group: AbelianGroup) -> list[str]:
     """Names of the counting methods defined for this group, in run order."""
     names = ["naive", "congruence"]
     if group.is_cyclic():
-        names.append("cyclic")
+        names += ["cyclic", "unit_census"]
     if group.rank == 1:
         names.append("prime_power")
     if group.is_elementary():

@@ -194,6 +194,16 @@ def test_table_all_orders(capsys):
     assert by_group["C2xC2xC2"] == "5"
 
 
+def test_table_keeps_going_past_refused_groups(capsys):
+    code, out, err = run_cli(["table", "--groups", "C2,C2^5,C3,C3^4", "--n", "2"], capsys)
+    assert code == cli.EXIT_BUDGET
+    rows = [line.split() for line in out.splitlines()[1:]]
+    assert [(row[0], row[3]) for row in rows] == [("C2", "10"), ("C3", "25")]
+    refusals = err.splitlines()
+    assert len(refusals) == 2
+    assert all("max_matrix_candidates" in line for line in refusals)
+
+
 def test_table_canonicalizes_spec(capsys):
     code, out, _ = run_cli(["table", "--groups", "C6", "--n", "1"], capsys)
     assert code == cli.EXIT_OK

@@ -2,15 +2,20 @@
 general cyclic sums, the elementary-abelian matrix average, and the
 special-case formulas."""
 import itertools
+import math
+from collections import Counter
 
 import pytest
 
-from escount import abelian, burnside
+from escount import abelian, burnside, closed_form
 from escount.abelian import parse_group, rank_mod_p
 from escount.budget import BudgetExceededError
 from escount.burnside import orbit_count_congruence, orbit_count_naive
 from escount.closed_form import (
     FORMULA_EVALUATORS,
+    census_sum_by_cycle_type,
+    census_sum_by_profile,
+    cheaper_census_sum,
     closed_count,
     formula_prime_any_n,
     formula_prime_power_n1,
@@ -22,12 +27,18 @@ from escount.closed_form import (
     f_p,
     general_linear_order,
     n_cyclic,
+    n_cyclic_census,
     n_cyclic_prime_power,
     n_cyclic_prime_power_alt,
     n_elementary_abelian,
     n_general,
+    unit_census,
+    unit_orders,
 )
-from escount.numtheory import CycleType, cycle_types
+from escount.numtheory import CycleType, cycle_types, delta_vector, euler_phi, factorize
+
+# The cyclic orders of the long-n benchmark table.
+LONG_N_ORDERS = (12, 360, 343, 4096, 8640, 720720)
 
 
 def test_f_p_single_fixed_point_gives_level():
@@ -155,6 +166,88 @@ def test_n_cyclic_matches_prime_power_blocks():
 def test_n_cyclic_matches_naive_composite():
     assert n_cyclic(6, 2) == orbit_count_naive(parse_group("C6"), 2)
     assert n_cyclic(10, 1) == orbit_count_naive(parse_group("C10"), 1)
+
+
+def test_unit_orders_match_listed_units():
+    for q in range(2, 1025):
+        if len(factorize(q)) != 1:
+            continue
+        ((p, e),) = factorize(q)
+        listed = Counter(delta_vector(i, p, e).entries for i in range(1, q) if i % p)
+        from_shapes = unit_orders(p, e)
+        assert from_shapes == listed, q
+        assert sum(from_shapes.values()) == euler_phi(q)
+
+
+def test_unit_census_counts_fixed_residues():
+    # The r-th power of the unit u fixes gcd(u**r - 1, q) residues modulo q.
+    n = 8
+    for q in (2, 3, 4, 5, 8, 9, 16, 25, 27, 32, 49, 64):
+        ((p, e),) = factorize(q)
+        listed = Counter(
+            tuple(
+                round(math.log(math.gcd(pow(u, r, q) - 1, q), p))
+                for r in range(1, n + 1)
+            )
+            for u in range(1, q)
+            if u % p
+        )
+        assert unit_census(p, e, n) == listed, q
+
+
+def test_closed_count_cyclic_matches_n_cyclic():
+    for m in range(1, 301):
+        group = parse_group(f"C{m}")
+        for n in range(1, 7):
+            assert closed_count(group, n) == n_cyclic(m, n), (m, n)
+    for m in LONG_N_ORDERS:
+        assert n_cyclic_census(m, 10) == n_cyclic(m, 10), m
+
+
+@pytest.mark.parametrize("m, n", [(720720, 10), (8640, 12), (4096, 15), (1, 4)])
+def test_census_evaluators_agree(m, n):
+    censuses = [(p, unit_census(p, e, n)) for p, e in factorize(m)]
+    total = census_sum_by_profile(censuses, n)
+    assert census_sum_by_cycle_type(censuses, n) == total
+    assert total % (math.factorial(n) * euler_phi(m)) == 0
+
+
+def test_census_evaluator_choice():
+    def chosen(m, n):
+        censuses = [(p, unit_census(p, e, n)) for p, e in factorize(m)]
+        return cheaper_census_sum(censuses, n)
+
+    # C720720 has 5,760 unit profiles; n = 40 has 37,338 cycle types.
+    assert chosen(720720, 25) is census_sum_by_cycle_type
+    assert chosen(12, 40) is census_sum_by_profile
+    assert chosen(360, 40) is census_sum_by_profile
+    assert chosen(4096, 25) is census_sum_by_profile
+
+
+def test_closed_count_cyclic_does_not_use_n_cyclic(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("closed_count called n_cyclic")
+
+    monkeypatch.setattr(closed_form, "n_cyclic", refuse)
+    assert closed_count(parse_group("C12"), 2) == 2860
+    assert closed_count(parse_group("C1"), 3) == 1
+    assert closed_count(parse_group("C8"), 2) == 580
+
+
+def test_paper_forms_do_not_use_the_census(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("an independent form used the shared census")
+
+    for name in ("cycle_index_sum", "unit_orders", "unit_census",
+                 "census_sum_by_profile", "census_sum_by_cycle_type"):
+        monkeypatch.setattr(closed_form, name, refuse)
+    assert n_cyclic(12, 2) == 2860
+    assert n_cyclic_prime_power(2, 3, 2) == 580
+    assert n_cyclic_prime_power_alt(3, 2, 3) == n_cyclic(9, 3)
+    assert formula_prime_power_n1(2, 4) == 46
+    assert formula_prime_power_n2(2, 2) == 76
+    assert formula_prime_any_n(5, 3) == n_cyclic(5, 3)
+    assert formula_squarefree_n1([2, 3, 5]) == 140
 
 
 def test_general_linear_order_golden():

@@ -19,6 +19,7 @@ from escount.numtheory import (
     integer_partitions,
     is_prime,
     multiplicative_order,
+    partition_count,
     primitive_root,
     shape_parameters,
     two_power_unit_decomposition,
@@ -72,6 +73,14 @@ def test_integer_partitions():
         assert len(parts) == PARTITION_COUNTS[n]
         assert all(sum(part) == n for part in parts)
         assert all(tuple(sorted(part, reverse=True)) == part for part in parts)
+
+
+def test_partition_count():
+    assert [partition_count(n) for n in range(13)] == PARTITION_COUNTS
+    assert partition_count(25) == sum(1 for _ in cycle_types(25)) == 1958
+    assert partition_count(40) == 37338
+    with pytest.raises(ValueError):
+        partition_count(-1)
 
 
 def test_cycle_types_golden_order():

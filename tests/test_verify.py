@@ -30,6 +30,7 @@ def test_applicable_methods():
         "naive",
         "congruence",
         "cyclic",
+        "unit_census",
         "prime_power",
         "elementary",
     ]
@@ -37,9 +38,15 @@ def test_applicable_methods():
         "naive",
         "congruence",
         "cyclic",
+        "unit_census",
         "prime_power",
     ]
-    assert applicable_methods(parse_group("C6")) == ["naive", "congruence", "cyclic"]
+    assert applicable_methods(parse_group("C6")) == [
+        "naive",
+        "congruence",
+        "cyclic",
+        "unit_census",
+    ]
     assert applicable_methods(parse_group("C2xC4")) == ["naive", "congruence"]
     assert applicable_methods(parse_group("C3^2")) == [
         "naive",
