@@ -297,20 +297,33 @@ def automorphism_chunks(group: AbelianGroup) -> Iterator[np.ndarray]:
         yield cand
 
 
-@lru_cache(maxsize=None)
 def enumerate_automorphisms(
     group: AbelianGroup, budget: Budget = DEFAULT_BUDGET
 ) -> tuple[EndoMatrix, ...]:
     """All automorphisms of the group, in the order automorphism_chunks
-    finds them."""
+    finds them.
+
+    The budget is checked on every call; the list is cached by group
+    alone, so every budget that admits the group reads the same entry.
+    """
     budget.check("max_group_order", group.order)
     mods = group.moduli
     budget.check("max_endo_candidates", math.prod(math.gcd(a, b) for a in mods for b in mods))
+    return _automorphisms(group)
+
+
+@lru_cache(maxsize=None)
+def _automorphisms(group: AbelianGroup) -> tuple[EndoMatrix, ...]:
     return tuple(
         EndoMatrix(group, tuple(map(tuple, mat)))
         for stack in automorphism_chunks(group)
         for mat in stack.tolist()
     )
+
+
+# The cache's statistics and reset, under the public name.
+enumerate_automorphisms.cache_info = _automorphisms.cache_info
+enumerate_automorphisms.cache_clear = _automorphisms.cache_clear
 
 
 def invert_automorphism(auto: EndoMatrix) -> EndoMatrix:

@@ -1,9 +1,10 @@
 """Resource limits for the exhaustive enumeration routines.
 
 Every brute-force path (automorphism enumeration, naive fixed-point
-counting, orbit listing, matrix-group enumeration) checks its workload
-against a budget before allocating anything, so oversized requests fail
-fast with an error naming the limit that was hit.
+counting, orbit listing, matrix-group enumeration, conjugacy-class
+listing) checks its workload against a budget before allocating anything,
+so oversized requests fail fast with an error naming the limit that was
+hit.
 """
 from __future__ import annotations
 
@@ -48,7 +49,9 @@ class Budget:
     max_naive_work:        largest total workload (group-pair count times
                            state-space size) for a full naive orbit count.
     max_matrix_candidates: largest number of candidate matrices p^(s*s)
-                           scanned when listing an invertible matrix group.
+                           scanned when listing an invertible matrix group,
+                           and largest bound p^s on the conjugacy classes
+                           of GL(s, p) listed for its class census.
     """
 
     max_group_order: int = 64

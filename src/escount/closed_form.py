@@ -5,15 +5,17 @@ each prime power p**e, tallied by the exponents of their powers' fixed-point
 counts and built from the unit-order shapes (k, d), not by listing units.
 The per-prime censuses are evaluated either profile by profile through the
 shared cycle-index kernel or cycle type by cycle type, whichever is
-estimated cheaper.  Elementary abelian groups average over an invertible
-matrix group, and everything else falls back to the congruence-style orbit
-count.
+estimated cheaper.  Elementary abelian groups C_p^s go the same way from a
+census of GL(s, p) built from its conjugacy classes (glclasses), not by
+listing matrices, and everything else falls back to the congruence-style
+orbit count.
 
 The paper's forms stay independent of that census and serve as witnesses:
 for cyclic prime-power groups the Burnside average collapses to a sum over
 the shapes and permutation cycle types, with the shape exponent functions
 f_p and f_2 giving the power of p contributed by each cycle type, and
 n_cyclic takes a product of per-prime block sums for any cyclic group.
+n_elementary_abelian tallies the GL(s, p) census by scanning matrices.
 """
 from __future__ import annotations
 
@@ -28,6 +30,7 @@ import numpy as np
 from .abelian import AbelianGroup, automorphism_chunks, rank_mod_p_batch
 from .budget import Budget, DEFAULT_BUDGET, IntegralityError
 from .burnside import orbit_count_congruence
+from .glclasses import general_linear_order, gl_class_census
 from .numtheory import (
     CycleType,
     cycle_index_sum,
@@ -369,13 +372,6 @@ def n_cyclic_census(m: int, n: int) -> int:
     return _as_int(value, f"count for C{m}, n={n}")
 
 
-def general_linear_order(p: int, s: int) -> int:
-    """Order of the group of invertible s x s matrices over the p-element field."""
-    if s < 0:
-        raise ValueError(f"dimension must be >= 0, got {s}")
-    return p ** (s * (s - 1) // 2) * math.prod(p**i - 1 for i in range(1, s + 1))
-
-
 def _invertible_matrix_chunks(
     p: int, s: int, budget: Budget
 ) -> Iterator[np.ndarray]:
@@ -420,23 +416,22 @@ def enumerate_invertible_matrices(
     ]
 
 
-def n_elementary_abelian(p: int, s: int, n: int, budget: Budget = DEFAULT_BUDGET) -> int:
-    """Orbit count for the direct sum of s copies of C_p.
+def matrix_scan_census(
+    p: int, s: int, n: int, budget: Budget = DEFAULT_BUDGET
+) -> dict[tuple[int, ...], int]:
+    """Invertible s x s matrices over F_p tallied by exponent profile.
 
-    A matrix power A**r fixes p**corank(A**r - I) elements, and as many
-    characters, so the invertible matrices are tallied by their corank
-    profile over r = 1..n and the census goes through the cycle-index
-    kernel.  Matrix powers and coranks are computed batch by batch.
+    A matrix power A**r fixes p**c_r vectors, c_r = corank(A**r - I).  The
+    matrices come from the batched scan of all p**(s*s) candidates, and
+    their powers and coranks are computed batch by batch.
     """
     if s < 1:
         raise ValueError(f"rank must be >= 1, got {s}")
     if n < 1:
         raise ValueError(f"tuple length must be >= 1, got {n}")
     census: Counter = Counter()
-    order = 0
+    identity = np.eye(s, dtype=np.int64)
     for mats in _invertible_matrix_chunks(p, s, budget):
-        order += len(mats)
-        identity = np.eye(s, dtype=np.int64)
         coranks = np.empty((len(mats), n), dtype=np.int64)
         power = mats
         for r in range(n):
@@ -445,8 +440,36 @@ def n_elementary_abelian(p: int, s: int, n: int, budget: Budget = DEFAULT_BUDGET
                 power = power @ mats % p
         rows, counts = np.unique(coranks, axis=0, return_counts=True)
         for row, count in zip(rows.tolist(), counts.tolist()):
-            census[tuple(p**c for c in row)] += count
-    value = Fraction(cycle_index_sum(census, n), order * math.factorial(n))
+            census[tuple(row)] += count
+    return dict(census)
+
+
+def n_elementary_abelian(p: int, s: int, n: int, budget: Budget = DEFAULT_BUDGET) -> int:
+    """Orbit count for the direct sum of s copies of C_p, by the matrix scan.
+
+    A matrix power A**r fixes p**corank(A**r - I) elements, and as many
+    characters, so the scanned invertible matrices are tallied by their
+    corank profile over r = 1..n (matrix_scan_census) and the census goes
+    through the cycle-index kernel.  This is the `elementary` witness of
+    verify; closed_count takes the class census (n_elementary_census).
+    """
+    census = matrix_scan_census(p, s, n, budget)
+    fixed = {tuple(p**c for c in profile): count for profile, count in census.items()}
+    value = Fraction(cycle_index_sum(fixed, n), sum(census.values()) * math.factorial(n))
+    return _as_int(value, f"count for C{p}^{s}, n={n}")
+
+
+def n_elementary_census(p: int, s: int, n: int, budget: Budget = DEFAULT_BUDGET) -> int:
+    """Orbit count for the direct sum of s copies of C_p from the GL classes.
+
+    The class census goes to whichever evaluator is estimated cheaper, and
+    the total is divided by n! * |GL(s, p)| once.  Independent of
+    n_elementary_abelian, which tallies the same census by scanning
+    matrices.
+    """
+    censuses = [(p, gl_class_census(p, s, n, budget))]
+    total = cheaper_census_sum(censuses, n)(censuses, n)
+    value = Fraction(total, math.factorial(n) * general_linear_order(p, s))
     return _as_int(value, f"count for C{p}^{s}, n={n}")
 
 
@@ -459,13 +482,14 @@ def closed_count(group: AbelianGroup, n: int, budget: Budget = DEFAULT_BUDGET) -
     """Orbit count by the most specific closed form available for the group.
 
     Cyclic groups go through the unit census (n_cyclic_census), elementary
-    abelian groups through the corank census of GL(s, p), and the rest
-    through the congruence-style average.
+    abelian groups through the conjugacy classes of GL(s, p)
+    (n_elementary_census), and the rest through the congruence-style
+    average.  The matrix scan n_elementary_abelian stays as a witness.
     """
     if group.is_cyclic():
         return n_cyclic_census(group.order, n)
     if group.is_elementary():
-        return n_elementary_abelian(group.factors[0][0], group.rank, n, budget)
+        return n_elementary_census(group.factors[0][0], group.rank, n, budget)
     return n_general(group, n, budget)
 
 

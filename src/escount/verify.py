@@ -2,7 +2,8 @@
 
 Every group admits at least the naive scan and the congruence-style
 average; cyclic, prime-power and elementary abelian groups add closed
-forms, and cyclic groups also the unit census that closed_count uses.
+forms, cyclic groups also the unit census and elementary abelian groups
+also the GL(s, p) class census that closed_count uses.
 cross_check runs all applicable methods on one case, sweep runs every
 abelian group up to an order bound, and check_reference_values recomputes
 a table of known counts from scratch.
@@ -24,6 +25,7 @@ from .closed_form import (
     n_cyclic_census,
     n_cyclic_prime_power,
     n_elementary_abelian,
+    n_elementary_census,
 )
 from .numtheory import factorize, integer_partitions
 
@@ -82,6 +84,11 @@ def _method_elementary(group: AbelianGroup, n: int, budget: Budget) -> int:
     return n_elementary_abelian(p, group.rank, n, budget)
 
 
+def _method_gl_classes(group: AbelianGroup, n: int, budget: Budget) -> int:
+    p = group.factors[0][0]
+    return n_elementary_census(p, group.rank, n, budget)
+
+
 METHODS = {
     "naive": orbit_count_naive,
     "congruence": orbit_count_congruence,
@@ -89,6 +96,7 @@ METHODS = {
     "unit_census": _method_unit_census,
     "prime_power": _method_prime_power,
     "elementary": _method_elementary,
+    "gl_classes": _method_gl_classes,
 }
 
 
@@ -100,7 +108,7 @@ def applicable_methods(group: AbelianGroup) -> list[str]:
     if group.rank == 1:
         names.append("prime_power")
     if group.is_elementary():
-        names.append("elementary")
+        names += ["elementary", "gl_classes"]
     return names
 
 

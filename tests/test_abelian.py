@@ -288,6 +288,26 @@ def test_automorphism_budget():
     assert excinfo.value.limit_name == "max_endo_candidates"
 
 
+def test_automorphism_cache_is_keyed_by_group_alone():
+    enumerate_automorphisms.cache_clear()
+    group = parse_group("C2xC4")
+    first = enumerate_automorphisms(group)
+    assert enumerate_automorphisms(group, DEFAULT_BUDGET) is first
+    assert enumerate_automorphisms(group, Budget(max_group_order=8)) is first
+    assert enumerate_automorphisms.cache_info().currsize == 1
+
+
+def test_tighter_budget_refuses_a_cached_group():
+    group = parse_group("C2xC4")
+    enumerate_automorphisms(group)
+    with pytest.raises(BudgetExceededError) as excinfo:
+        enumerate_automorphisms(group, Budget(max_group_order=4))
+    assert excinfo.value.limit_name == "max_group_order"
+    with pytest.raises(BudgetExceededError) as excinfo:
+        enumerate_automorphisms(group, Budget(max_endo_candidates=8))
+    assert excinfo.value.limit_name == "max_endo_candidates"
+
+
 def test_invert_automorphism():
     for spec in ("C1", "C9", "C2xC4", "C3^2", "C12"):
         group = parse_group(spec)

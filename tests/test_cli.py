@@ -117,8 +117,9 @@ def test_count_budget_exhausted(capsys):
 
 
 def test_count_budget_exhausted_all_methods(capsys):
+    # C2^7 is answered by the class census; C2^21 is over every limit.
     code, _, err = run_cli(
-        ["count", "--group", "C2^7", "--n", "1", "--method", "all"], capsys
+        ["count", "--group", "C2^21", "--n", "1", "--method", "all"], capsys
     )
     assert code == cli.EXIT_BUDGET
     assert "no method fit within the budget" in err
@@ -195,7 +196,9 @@ def test_table_all_orders(capsys):
 
 
 def test_table_keeps_going_past_refused_groups(capsys):
-    code, out, err = run_cli(["table", "--groups", "C2,C2^5,C3,C3^4", "--n", "2"], capsys)
+    # C2^21 and C3^13 bound more GL classes (2**21, 3**13) than
+    # max_matrix_candidates allows.
+    code, out, err = run_cli(["table", "--groups", "C2,C2^21,C3,C3^13", "--n", "2"], capsys)
     assert code == cli.EXIT_BUDGET
     rows = [line.split() for line in out.splitlines()[1:]]
     assert [(row[0], row[3]) for row in rows] == [("C2", "10"), ("C3", "25")]

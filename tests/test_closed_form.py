@@ -1,15 +1,15 @@
 """Tests for the closed-form orbit counts: shape exponents, prime-power and
-general cyclic sums, the elementary-abelian matrix average, and the
-special-case formulas."""
+general cyclic sums, the elementary-abelian matrix average and class
+census, and the special-case formulas."""
 import itertools
 import math
 from collections import Counter
 
 import pytest
 
-from escount import abelian, burnside, closed_form
+from escount import abelian, burnside, closed_form, glclasses
 from escount.abelian import parse_group, rank_mod_p
-from escount.budget import BudgetExceededError
+from escount.budget import Budget, BudgetExceededError, IntegralityError
 from escount.burnside import orbit_count_congruence, orbit_count_naive
 from escount.closed_form import (
     FORMULA_EVALUATORS,
@@ -26,15 +26,18 @@ from escount.closed_form import (
     f_2,
     f_p,
     general_linear_order,
+    matrix_scan_census,
     n_cyclic,
     n_cyclic_census,
     n_cyclic_prime_power,
     n_cyclic_prime_power_alt,
     n_elementary_abelian,
+    n_elementary_census,
     n_general,
     unit_census,
     unit_orders,
 )
+from escount.glclasses import gl_class_census, gl_classes, irreducible_orders
 from escount.numtheory import CycleType, cycle_types, delta_vector, euler_phi, factorize
 
 # The cyclic orders of the long-n benchmark table.
@@ -321,6 +324,108 @@ def test_n_elementary_abelian_rank_one_matches_cyclic():
 def test_n_elementary_abelian_budget():
     with pytest.raises(BudgetExceededError):
         n_elementary_abelian(2, 5, 1)
+
+
+# Every (p, s) with p**(s*s) <= 2**16 for the primes up to 13: the matrix
+# scans the class census is compared with.
+SCANNED_GL = [
+    (p, s) for p in (2, 3, 5, 7, 11, 13) for s in range(1, 5) if p ** (s * s) <= 1 << 16
+]
+
+
+@pytest.mark.parametrize("p, s", SCANNED_GL)
+def test_gl_class_census_equals_matrix_scan_census(p, s):
+    # The census at n is the census at 6 with its profiles cut to length n,
+    # so one scan serves every n.
+    scanned = matrix_scan_census(p, s, 6)
+    for n in range(1, 7):
+        cut: Counter = Counter()
+        for profile, count in scanned.items():
+            cut[profile[:n]] += count
+        assert gl_class_census(p, s, n) == dict(cut), (p, s, n)
+
+
+# k(GL(s, p)), the number of conjugacy classes.
+GL_CLASS_COUNTS = (
+    (2, 1, 1), (3, 1, 2), (7, 1, 6), (2, 2, 3), (3, 2, 8), (5, 2, 24),
+    (2, 3, 6), (3, 3, 24), (2, 4, 14), (2, 5, 27), (3, 4, 78), (5, 3, 120),
+    (2, 8, 246), (5, 4, 620), (3, 6, 720),
+)
+
+
+@pytest.mark.parametrize("p, s, classes", GL_CLASS_COUNTS)
+def test_gl_classes_are_the_known_count_and_add_up_to_the_group(p, s, classes):
+    listed = list(gl_classes(p, s, 2))
+    assert len(listed) == classes
+    assert sum(size for size, _ in listed) == general_linear_order(p, s)
+    assert all(profile[0] <= s for _, profile in listed)
+
+
+def test_irreducible_orders_count_the_irreducibles():
+    mobius = {1: 1, 2: -1, 3: -1, 4: 0, 5: -1, 6: 1}
+    for p in (2, 3, 5):
+        tally = irreducible_orders(p, 6 if p < 5 else 3)
+        for d in range(1, 7 if p < 5 else 4):
+            monic = sum(mobius[d // k] * p**k for k in range(1, d + 1) if d % k == 0) // d
+            found = sum(count for (deg, _), count in tally.items() if deg == d)
+            assert found == monic - (d == 1), (p, d)  # x itself is left out
+    assert irreducible_orders(2, 2) == {(1, 1): 1, (2, 3): 1}
+
+
+def test_gl_classes_check_their_sizes(monkeypatch):
+    real = glclasses._centralizer_factor
+    monkeypatch.setattr(glclasses, "_centralizer_factor", lambda parts, q: 1)
+    with pytest.raises(IntegralityError):
+        gl_class_census(2, 2, 1)
+    monkeypatch.setattr(
+        glclasses, "_centralizer_factor", lambda parts, q: 7 * real(parts, q)
+    )
+    with pytest.raises(IntegralityError):
+        gl_class_census(2, 2, 1)
+
+
+def test_n_elementary_census_validation():
+    with pytest.raises(ValueError):
+        n_elementary_census(4, 2, 1)
+    with pytest.raises(ValueError):
+        n_elementary_census(2, 0, 1)
+    with pytest.raises(ValueError):
+        n_elementary_census(2, 2, 0)
+
+
+# n = 2 counts of elementary groups: C2^4 and C3^3 agree with congruence and
+# the matrix scan; C2^5, C3^4 and C5^3 with the matrix scan under a raised
+# max_matrix_candidates (a run outside the test suite; see CHANGES.md).
+ELEMENTARY_N2 = {"C2^4": 41, "C3^3": 123, "C2^5": 41, "C3^4": 124, "C5^3": 591}
+
+
+def test_closed_count_elementary_lists_no_matrix(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("closed_count scanned matrices")
+
+    monkeypatch.setattr(abelian, "automorphism_chunks", refuse)
+    monkeypatch.setattr(closed_form, "automorphism_chunks", refuse)
+    for spec, expected in ELEMENTARY_N2.items():
+        assert closed_count(parse_group(spec), 2) == expected, spec
+
+
+def test_n_elementary_abelian_does_not_use_the_classes(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the matrix scan used the class census")
+
+    monkeypatch.setattr(glclasses, "gl_classes", refuse)
+    for name in ("gl_class_census", "n_elementary_census", "cheaper_census_sum"):
+        monkeypatch.setattr(closed_form, name, refuse)
+    assert n_elementary_abelian(2, 2, 2) == 31
+    assert n_elementary_abelian(2, 3, 2) == 40
+    assert n_elementary_abelian(3, 3, 2) == 123
+
+
+def test_closed_count_elementary_budget():
+    with pytest.raises(BudgetExceededError) as excinfo:
+        closed_count(parse_group("C2^5"), 2, Budget(max_matrix_candidates=16))
+    assert excinfo.value.limit_name == "max_matrix_candidates"
+    assert excinfo.value.required == 32
 
 
 def test_n_general_and_closed_count():

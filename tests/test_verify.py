@@ -33,6 +33,16 @@ def test_applicable_methods():
         "unit_census",
         "prime_power",
         "elementary",
+        "gl_classes",
+    ]
+    assert applicable_methods(parse_group("C3")) == [
+        "naive",
+        "congruence",
+        "cyclic",
+        "unit_census",
+        "prime_power",
+        "elementary",
+        "gl_classes",
     ]
     assert applicable_methods(parse_group("C4")) == [
         "naive",
@@ -52,6 +62,13 @@ def test_applicable_methods():
         "naive",
         "congruence",
         "elementary",
+        "gl_classes",
+    ]
+    assert applicable_methods(parse_group("C2^5")) == [
+        "naive",
+        "congruence",
+        "elementary",
+        "gl_classes",
     ]
 
 
@@ -72,9 +89,11 @@ def test_cross_check_mixed_group_methods():
 
 
 def test_cross_check_all_skipped_is_vacuously_ok():
-    case = cross_check(parse_group("C2^7"), 1)
+    # C2^21's class bound 2**21 is over max_matrix_candidates, so even the
+    # class census is refused.
+    case = cross_check(parse_group("C2^21"), 1)
     assert case.values == {}
-    assert set(case.skipped) == {"naive", "congruence", "elementary"}
+    assert set(case.skipped) == {"naive", "congruence", "elementary", "gl_classes"}
     for reason in case.skipped.values():
         assert "budget exceeded" in reason
     assert case.agree
