@@ -44,6 +44,8 @@ class Budget:
                            and fixed-element counts), not for their scan.
     max_endo_candidates:   largest number of candidate endomorphism matrices
                            scanned when listing automorphisms.
+                           closed_count applies both limits to each Sylow
+                           factor it scans, not to the whole group.
     max_state_space:       largest number of configurations |G|^(2n) for the
                            naive fixed-point count and for orbit listing.
     max_naive_work:        largest total workload (group-pair count times

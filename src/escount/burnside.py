@@ -244,17 +244,15 @@ def fixed_count_profiles(
     return profiles
 
 
-def orbit_count_congruence(
+def fixed_count_census(
     group: AbelianGroup, n: int, budget: Budget = DEFAULT_BUDGET
-) -> int:
-    """Number of orbits, averaging the cycle index over automorphisms.
+) -> dict[tuple[int, ...], int]:
+    """The automorphisms of `group` tallied by fixed-count profile.
 
-    A pair (phi, sigma) fixes, per cycle of sigma of length r, the elements
-    and the characters fixed by phi**r, and there are as many fixed
-    characters as fixed elements (|G / im(phi**r - 1)| = |ker(phi**r - 1)|).
-    So only the fixed-element profile of each automorphism matters; the
-    automorphisms are tallied by profile and the census goes through the
-    cycle-index kernel.  The total over the acting group divides exactly.
+    Keys are (|Fix(phi)|, ..., |Fix(phi**n)|), values the number of
+    automorphisms phi with that profile; they add up to |Aut(G)|.  The
+    automorphisms are scanned and profiled PROFILE_CHUNK image cells at a
+    time.
     """
     if n < 1:
         raise ValueError(f"tuple length must be >= 1, got {n}")
@@ -265,8 +263,25 @@ def orbit_count_congruence(
         profiles = fixed_count_profiles(group, autos[lo : lo + chunk], n)
         rows, counts = np.unique(profiles, axis=0, return_counts=True)
         census.update(dict(zip(map(tuple, rows.tolist()), counts.tolist())))
+    return dict(census)
+
+
+def orbit_count_congruence(
+    group: AbelianGroup, n: int, budget: Budget = DEFAULT_BUDGET
+) -> int:
+    """Number of orbits, averaging the cycle index over automorphisms.
+
+    A pair (phi, sigma) fixes, per cycle of sigma of length r, the elements
+    and the characters fixed by phi**r, and there are as many fixed
+    characters as fixed elements (|G / im(phi**r - 1)| = |ker(phi**r - 1)|).
+    So only the fixed-element profile of each automorphism matters; the
+    automorphisms of the whole group are tallied by profile
+    (fixed_count_census) and the census goes through the cycle-index
+    kernel.  The total over the acting group divides exactly.
+    """
+    census = fixed_count_census(group, n, budget)
     total = cycle_index_sum(census, n)
-    denominator = len(autos) * math.factorial(n)
+    denominator = sum(census.values()) * math.factorial(n)
     if total % denominator:
         raise IntegralityError(
             f"fixed-point total {total} for {group}, n={n} is not divisible "

@@ -1,14 +1,16 @@
 """Closed-form counts of element-system orbits.
 
-closed_count counts a cyclic group from its unit census: the units modulo
-each prime power p**e, tallied by the exponents of their powers' fixed-point
-counts and built from the unit-order shapes (k, d), not by listing units.
-The per-prime censuses are evaluated either profile by profile through the
+closed_count splits the group into its Sylow p-subgroups G_p.  Aut(G) is
+the product of the Aut(G_p) and fixed-point counts multiply, so each
+Sylow factor contributes its own census of automorphisms, tallied by the
+exponents of their powers' fixed-point counts, listed in the cheapest way
+its kind allows: a cyclic factor from its unit-order shapes (k, d), never
+listing units; an elementary factor C_p^s from the conjugacy classes of
+GL(s, p) (glclasses), never listing matrices; any other factor by scanning
+its automorphisms, so the budget limits apply to that factor alone.  The
+per-prime censuses are evaluated either profile by profile through the
 shared cycle-index kernel or cycle type by cycle type, whichever is
-estimated cheaper.  Elementary abelian groups C_p^s go the same way from a
-census of GL(s, p) built from its conjugacy classes (glclasses), not by
-listing matrices, and everything else falls back to the congruence-style
-orbit count.
+estimated cheaper, and the total is divided by n! * |Aut(G)| once.
 
 The paper's forms stay independent of that census and serve as witnesses:
 for cyclic prime-power groups the Burnside average collapses to a sum over
@@ -21,6 +23,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from collections import Counter
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
@@ -29,7 +32,7 @@ import numpy as np
 
 from .abelian import AbelianGroup, automorphism_chunks, rank_mod_p_batch
 from .budget import Budget, DEFAULT_BUDGET, IntegralityError
-from .burnside import orbit_count_congruence
+from .burnside import fixed_count_census
 from .glclasses import general_linear_order, gl_class_census
 from .numtheory import (
     CycleType,
@@ -275,7 +278,8 @@ def unit_census(p: int, e: int, n: int) -> dict[tuple[int, ...], int]:
     """Units modulo p**e tallied by exponent profile (c_1, ..., c_n).
 
     The r-th power of a unit fixes p**c_r residues, where c_r counts the
-    levels s whose order delta_s divides r.
+    levels s whose order delta_s divides r.  The counts must add up to
+    phi(p**e), the number of units.
     """
     census: dict[tuple[int, ...], int] = {}
     for orders, count in unit_orders(p, e).items():
@@ -283,6 +287,11 @@ def unit_census(p: int, e: int, n: int) -> dict[tuple[int, ...], int]:
             sum(r % order == 0 for order in orders) for r in range(1, n + 1)
         )
         census[profile] = census.get(profile, 0) + count
+    found, expected = sum(census.values()), euler_phi(p**e)
+    if found != expected:
+        raise IntegralityError(
+            f"unit census modulo {p**e} adds up to {found}, expected {expected}"
+        )
     return census
 
 
@@ -350,26 +359,6 @@ def cheaper_census_sum(
     if by_profile <= by_cycle_type:
         return census_sum_by_profile
     return census_sum_by_cycle_type
-
-
-def n_cyclic_census(m: int, n: int) -> int:
-    """Orbit count for the cyclic group of order m >= 1 from its unit census.
-
-    The units modulo m are the automorphisms.  By the Chinese remainder
-    theorem they are tuples of units modulo each p**e in m, and their
-    fixed-point counts multiply, so each prime contributes its own census.
-    The total comes from whichever evaluator is estimated cheaper and is
-    divided by n! * phi(m) once.  Independent of n_cyclic, which reads the
-    same shapes through the exponent functions f_p and f_2.
-    """
-    if m < 1:
-        raise ValueError(f"order must be >= 1, got {m}")
-    if n < 1:
-        raise ValueError(f"tuple length must be >= 1, got {n}")
-    censuses = [(p, unit_census(p, e, n)) for p, e in factorize(m)]
-    total = cheaper_census_sum(censuses, n)(censuses, n)
-    value = Fraction(total, math.factorial(n) * euler_phi(m))
-    return _as_int(value, f"count for C{m}, n={n}")
 
 
 def _invertible_matrix_chunks(
@@ -451,7 +440,7 @@ def n_elementary_abelian(p: int, s: int, n: int, budget: Budget = DEFAULT_BUDGET
     characters, so the scanned invertible matrices are tallied by their
     corank profile over r = 1..n (matrix_scan_census) and the census goes
     through the cycle-index kernel.  This is the `elementary` witness of
-    verify; closed_count takes the class census (n_elementary_census).
+    verify; closed_count takes the class census (gl_class_census).
     """
     census = matrix_scan_census(p, s, n, budget)
     fixed = {tuple(p**c for c in profile): count for profile, count in census.items()}
@@ -459,38 +448,46 @@ def n_elementary_abelian(p: int, s: int, n: int, budget: Budget = DEFAULT_BUDGET
     return _as_int(value, f"count for C{p}^{s}, n={n}")
 
 
-def n_elementary_census(p: int, s: int, n: int, budget: Budget = DEFAULT_BUDGET) -> int:
-    """Orbit count for the direct sum of s copies of C_p from the GL classes.
+def _sylow_census(
+    sylow: AbelianGroup, n: int, budget: Budget
+) -> Mapping[tuple[int, ...], int]:
+    """Aut of a p-group tallied by exponent profile, by the lister for its kind.
 
-    The class census goes to whichever evaluator is estimated cheaper, and
-    the total is divided by n! * |GL(s, p)| once.  Independent of
-    n_elementary_abelian, which tallies the same census by scanning
-    matrices.
+    Cyclic: the unit census.  Elementary: the GL(s, p) class census.  Any
+    other p-group: its automorphisms are scanned and each fixed count,
+    a power of p, is mapped back to its exponent.
     """
-    censuses = [(p, gl_class_census(p, s, n, budget))]
-    total = cheaper_census_sum(censuses, n)(censuses, n)
-    value = Fraction(total, math.factorial(n) * general_linear_order(p, s))
-    return _as_int(value, f"count for C{p}^{s}, n={n}")
-
-
-def n_general(group: AbelianGroup, n: int, budget: Budget = DEFAULT_BUDGET) -> int:
-    """Orbit count for any finite abelian group (congruence-style average)."""
-    return orbit_count_congruence(group, n, budget)
+    p, e = sylow.factors[0]
+    if sylow.is_cyclic():
+        return unit_census(p, e, n)
+    if sylow.is_elementary():
+        return gl_class_census(p, sylow.rank, n, budget)
+    exponent = {p**c: c for c in range(sum(k for _, k in sylow.factors) + 1)}
+    return {
+        tuple(exponent[f] for f in profile): count
+        for profile, count in fixed_count_census(sylow, n, budget).items()
+    }
 
 
 def closed_count(group: AbelianGroup, n: int, budget: Budget = DEFAULT_BUDGET) -> int:
-    """Orbit count by the most specific closed form available for the group.
+    """Orbit count from the per-Sylow censuses of the automorphisms.
 
-    Cyclic groups go through the unit census (n_cyclic_census), elementary
-    abelian groups through the conjugacy classes of GL(s, p)
-    (n_elementary_census), and the rest through the congruence-style
-    average.  The matrix scan n_elementary_abelian stays as a witness.
+    Each Sylow p-subgroup gives its census (_sylow_census), the censuses go
+    to whichever evaluator is estimated cheaper, and the total is divided
+    once by n! times the product of the census totals, |Aut(G)|.  The
+    witnesses n_cyclic, n_elementary_abelian and orbit_count_congruence
+    compute the same count without the per-Sylow split.
     """
-    if group.is_cyclic():
-        return n_cyclic_census(group.order, n)
-    if group.is_elementary():
-        return n_elementary_census(group.factors[0][0], group.rank, n, budget)
-    return n_general(group, n, budget)
+    if n < 1:
+        raise ValueError(f"tuple length must be >= 1, got {n}")
+    censuses = [
+        (p, _sylow_census(AbelianGroup(tuple(factors)), n, budget))
+        for p, factors in itertools.groupby(group.factors, operator.itemgetter(0))
+    ]
+    total = cheaper_census_sum(censuses, n)(censuses, n)
+    aut_order = math.prod(sum(census.values()) for _, census in censuses)
+    value = Fraction(total, math.factorial(n) * aut_order)
+    return _as_int(value, f"count for {group}, n={n}")
 
 
 def formula_prime_power_n1(p: int, e: int) -> int:

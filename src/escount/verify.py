@@ -1,9 +1,8 @@
 """Cross-validation of the independent counting methods.
 
-Every group admits at least the naive scan and the congruence-style
-average; cyclic, prime-power and elementary abelian groups add closed
-forms, cyclic groups also the unit census and elementary abelian groups
-also the GL(s, p) class census that closed_count uses.
+Every group admits the naive scan, the congruence-style average and
+closed_count, which multiplies per-Sylow censuses; cyclic, prime-power
+and elementary abelian groups add the paper's closed forms.
 cross_check runs all applicable methods on one case, sweep runs every
 abelian group up to an order bound, and check_reference_values recomputes
 a table of known counts from scratch.
@@ -18,14 +17,13 @@ from .abelian import AbelianGroup, parse_group
 from .budget import Budget, BudgetExceededError, DEFAULT_BUDGET
 from .burnside import orbit_count_congruence, orbit_count_naive
 from .closed_form import (
+    closed_count,
     formula_prime_power_n1,
     formula_prime_power_n2,
     formula_squarefree_n1,
     n_cyclic,
-    n_cyclic_census,
     n_cyclic_prime_power,
     n_elementary_abelian,
-    n_elementary_census,
 )
 from .numtheory import factorize, integer_partitions
 
@@ -70,10 +68,6 @@ def _method_cyclic(group: AbelianGroup, n: int, budget: Budget) -> int:
     return n_cyclic(group.order, n)
 
 
-def _method_unit_census(group: AbelianGroup, n: int, budget: Budget) -> int:
-    return n_cyclic_census(group.order, n)
-
-
 def _method_prime_power(group: AbelianGroup, n: int, budget: Budget) -> int:
     ((p, e),) = group.factors
     return n_cyclic_prime_power(p, e, n)
@@ -84,19 +78,13 @@ def _method_elementary(group: AbelianGroup, n: int, budget: Budget) -> int:
     return n_elementary_abelian(p, group.rank, n, budget)
 
 
-def _method_gl_classes(group: AbelianGroup, n: int, budget: Budget) -> int:
-    p = group.factors[0][0]
-    return n_elementary_census(p, group.rank, n, budget)
-
-
 METHODS = {
     "naive": orbit_count_naive,
     "congruence": orbit_count_congruence,
     "cyclic": _method_cyclic,
-    "unit_census": _method_unit_census,
     "prime_power": _method_prime_power,
     "elementary": _method_elementary,
-    "gl_classes": _method_gl_classes,
+    "closed": closed_count,
 }
 
 
@@ -104,12 +92,12 @@ def applicable_methods(group: AbelianGroup) -> list[str]:
     """Names of the counting methods defined for this group, in run order."""
     names = ["naive", "congruence"]
     if group.is_cyclic():
-        names += ["cyclic", "unit_census"]
+        names.append("cyclic")
     if group.rank == 1:
         names.append("prime_power")
     if group.is_elementary():
-        names += ["elementary", "gl_classes"]
-    return names
+        names.append("elementary")
+    return names + ["closed"]
 
 
 def cross_check(

@@ -28,7 +28,6 @@ from escount.closed_form import (
     n_cyclic_prime_power,
     n_cyclic_prime_power_alt,
     n_elementary_abelian,
-    n_general,
 )
 from escount.numtheory import (
     CycleType,
@@ -132,7 +131,7 @@ def test_criterion_3_squarefree_single_counts():
             computed = {
                 "formula": formula_squarefree_n1(primes),
                 "cyclic": n_cyclic(order, 1),
-                "general": n_general(group, 1),
+                "general": orbit_count_congruence(group, 1),
             }
             if order <= 16:
                 computed["naive"] = orbit_count_naive(group, 1)

@@ -28,17 +28,15 @@ from escount.closed_form import (
     general_linear_order,
     matrix_scan_census,
     n_cyclic,
-    n_cyclic_census,
     n_cyclic_prime_power,
     n_cyclic_prime_power_alt,
     n_elementary_abelian,
-    n_elementary_census,
-    n_general,
     unit_census,
     unit_orders,
 )
 from escount.glclasses import gl_class_census, gl_classes, irreducible_orders
 from escount.numtheory import CycleType, cycle_types, delta_vector, euler_phi, factorize
+from escount.verify import abelian_groups_of_order
 
 # The cyclic orders of the long-n benchmark table.
 LONG_N_ORDERS = (12, 360, 343, 4096, 8640, 720720)
@@ -204,7 +202,7 @@ def test_closed_count_cyclic_matches_n_cyclic():
         for n in range(1, 7):
             assert closed_count(group, n) == n_cyclic(m, n), (m, n)
     for m in LONG_N_ORDERS:
-        assert n_cyclic_census(m, 10) == n_cyclic(m, 10), m
+        assert closed_count(parse_group(f"C{m}"), 10) == n_cyclic(m, 10), m
 
 
 @pytest.mark.parametrize("m, n", [(720720, 10), (8640, 12), (4096, 15), (1, 4)])
@@ -384,13 +382,10 @@ def test_gl_classes_check_their_sizes(monkeypatch):
         gl_class_census(2, 2, 1)
 
 
-def test_n_elementary_census_validation():
-    with pytest.raises(ValueError):
-        n_elementary_census(4, 2, 1)
-    with pytest.raises(ValueError):
-        n_elementary_census(2, 0, 1)
-    with pytest.raises(ValueError):
-        n_elementary_census(2, 2, 0)
+def test_closed_count_validation():
+    for spec in ("C1", "C7", "C2^2", "C2xC4", "C2^2xC3"):
+        with pytest.raises(ValueError):
+            closed_count(parse_group(spec), 0)
 
 
 # n = 2 counts of elementary groups: C2^4 and C3^3 agree with congruence and
@@ -414,7 +409,7 @@ def test_n_elementary_abelian_does_not_use_the_classes(monkeypatch):
         raise AssertionError("the matrix scan used the class census")
 
     monkeypatch.setattr(glclasses, "gl_classes", refuse)
-    for name in ("gl_class_census", "n_elementary_census", "cheaper_census_sum"):
+    for name in ("gl_class_census", "cheaper_census_sum"):
         monkeypatch.setattr(closed_form, name, refuse)
     assert n_elementary_abelian(2, 2, 2) == 31
     assert n_elementary_abelian(2, 3, 2) == 40
@@ -428,9 +423,58 @@ def test_closed_count_elementary_budget():
     assert excinfo.value.required == 32
 
 
+def test_closed_count_matches_congruence_on_mixed_groups():
+    cases = 0
+    for order in range(1, 65):
+        for group in abelian_groups_of_order(order):
+            if len({p for p, _ in group.factors}) < 2:
+                continue
+            for n in (1, 2, 3):
+                assert closed_count(group, n) == orbit_count_congruence(group, n), (
+                    str(group), n)
+                cases += 1
+    assert cases == 183
+
+
+# Pinned by orbit_count_congruence under Budget(max_group_order=1024).
+MIXED_N2 = {"C2^3xC3^2": 5832, "C2^2xC3^3": 5573}
+
+
+def test_closed_count_splits_mixed_groups_by_sylow(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("closed_count scanned the whole group")
+
+    monkeypatch.setattr(abelian, "automorphism_chunks", refuse)
+    monkeypatch.setattr(closed_form, "automorphism_chunks", refuse)
+    for spec, expected in MIXED_N2.items():
+        assert closed_count(parse_group(spec), 2) == expected, spec
+
+
+def test_closed_count_budget_applies_to_each_scanned_sylow_factor():
+    # The 3-part of C2xC4xC3^2 is elementary and the 2-part has order 8,
+    # so a bound of 8 is enough; the 3-group C3^2xC9 is one factor of 81.
+    tight = Budget(max_group_order=8)
+    assert closed_count(parse_group("C2xC4xC3^2"), 2, tight) == orbit_count_congruence(
+        parse_group("C2xC4xC3^2"), 2, Budget(max_group_order=72)
+    )
+    with pytest.raises(BudgetExceededError) as excinfo:
+        closed_count(parse_group("C3^2xC9"), 2)
+    assert excinfo.value.limit_name == "max_group_order"
+    assert excinfo.value.required == 81
+
+
+def test_closed_count_checks_the_unit_census_total(monkeypatch):
+    real = closed_form._shape_weight
+    monkeypatch.setattr(
+        closed_form, "_shape_weight", lambda p, e, k, d: 2 * real(p, e, k, d)
+    )
+    with pytest.raises(IntegralityError):
+        closed_count(parse_group("C9"), 2)
+
+
 def test_n_general_and_closed_count():
     mixed = parse_group("C2xC4")
-    assert n_general(mixed, 1) == 19
+    assert orbit_count_congruence(mixed, 1) == 19
     assert closed_count(mixed, 1) == 19
     assert closed_count(mixed, 2) == 364
     assert closed_count(parse_group("C2xC8"), 1) == 46

@@ -30,45 +30,43 @@ def test_applicable_methods():
         "naive",
         "congruence",
         "cyclic",
-        "unit_census",
         "prime_power",
         "elementary",
-        "gl_classes",
+        "closed",
     ]
     assert applicable_methods(parse_group("C3")) == [
         "naive",
         "congruence",
         "cyclic",
-        "unit_census",
         "prime_power",
         "elementary",
-        "gl_classes",
+        "closed",
     ]
     assert applicable_methods(parse_group("C4")) == [
         "naive",
         "congruence",
         "cyclic",
-        "unit_census",
         "prime_power",
+        "closed",
     ]
     assert applicable_methods(parse_group("C6")) == [
         "naive",
         "congruence",
         "cyclic",
-        "unit_census",
+        "closed",
     ]
-    assert applicable_methods(parse_group("C2xC4")) == ["naive", "congruence"]
+    assert applicable_methods(parse_group("C2xC4")) == ["naive", "congruence", "closed"]
     assert applicable_methods(parse_group("C3^2")) == [
         "naive",
         "congruence",
         "elementary",
-        "gl_classes",
+        "closed",
     ]
     assert applicable_methods(parse_group("C2^5")) == [
         "naive",
         "congruence",
         "elementary",
-        "gl_classes",
+        "closed",
     ]
 
 
@@ -83,7 +81,7 @@ def test_cross_check_all_methods_on_prime():
 
 def test_cross_check_mixed_group_methods():
     case = cross_check(parse_group("C2xC4"), 1)
-    assert set(case.values) == {"naive", "congruence"}
+    assert set(case.values) == {"naive", "congruence", "closed"}
     assert set(case.values.values()) == {19}
     assert case.group == "C2xC4"
 
@@ -93,7 +91,7 @@ def test_cross_check_all_skipped_is_vacuously_ok():
     # class census is refused.
     case = cross_check(parse_group("C2^21"), 1)
     assert case.values == {}
-    assert set(case.skipped) == {"naive", "congruence", "elementary", "gl_classes"}
+    assert set(case.skipped) == {"naive", "congruence", "closed", "elementary"}
     for reason in case.skipped.values():
         assert "budget exceeded" in reason
     assert case.agree
