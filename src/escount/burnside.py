@@ -6,6 +6,14 @@ characters by composition with its inverse, while the permutation relabels
 positions.  Orbits are counted two independent ways -- a naive scan of the
 full configuration space and a congruence-style average of the permutation
 cycle index over automorphisms -- and can also be listed explicitly.
+
+The naive scan (fixed_point_report) tests every state against every pair
+(phi, sigma).  Per batch of automorphisms and block of states it builds the
+n x n match masks M[j, t] -- the moved pair at position j equals the state's
+pair at position t -- packed into 64-bit words; then for a whole batch of
+permutations the fixed states of (phi, sigma) are the set bits of
+AND_j M[j, sigma(j)].  Every temporary stays within about PROFILE_CHUNK
+bytes (int64 image cells for the image arrays), whatever the budget.
 """
 from __future__ import annotations
 
@@ -80,7 +88,8 @@ def _digit_arrays(m: int, n: int) -> tuple[np.ndarray, ...]:
     return np.unravel_index(np.arange(m ** (2 * n)), (m,) * (2 * n))
 
 
-# Cells of the image arrays (automorphisms x elements x rank) per batch.
+# Cells of the image arrays (automorphisms x elements x rank) per batch, and
+# bytes of each temporary of the naive scan.
 PROFILE_CHUNK = 1 << 20
 
 
@@ -93,15 +102,23 @@ def _matrix_stack(group: AbelianGroup, autos: Sequence[EndoMatrix]) -> np.ndarra
     return np.array([auto.rows for auto in autos], dtype=np.int64).reshape(len(autos), s, s)
 
 
+def _image_batches(
+    group: AbelianGroup, autos: Sequence[EndoMatrix], batch: int
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Element and character index images of `batch` automorphisms at a
+    time, as two (k, |G|) arrays."""
+    for lo in range(0, len(autos), batch):
+        mats = _matrix_stack(group, autos[lo : lo + batch])
+        yield element_images(group, mats), character_images(group, mats)
+
+
 def _automorphism_images(
     group: AbelianGroup, autos: Sequence[EndoMatrix]
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Element and character index images of each automorphism in turn,
     built in batches of PROFILE_CHUNK image cells."""
-    chunk = _batch_size(group)
-    for lo in range(0, len(autos), chunk):
-        mats = _matrix_stack(group, autos[lo : lo + chunk])
-        yield from zip(element_images(group, mats), character_images(group, mats))
+    for elem_images, char_images in _image_batches(group, autos, _batch_size(group)):
+        yield from zip(elem_images, char_images)
 
 
 def _gather(
@@ -180,10 +197,134 @@ class FixedPointReport:
     orbit_count: int
 
 
+# Set bits of every byte value.
+_BYTE_POPCOUNT = np.array([bin(b).count("1") for b in range(256)], dtype=np.uint8)
+
+
+def popcount(words: np.ndarray) -> np.ndarray:
+    """Number of set bits along the last axis of a C-contiguous uint64 array.
+
+    Each byte is looked up in a 256-entry table (numpy >= 2 has
+    bitwise_count, the declared floor does not); the eight byte counts of a
+    word, at most 8 each, are summed into its top byte by one multiply.
+    """
+    per_byte = np.take(_BYTE_POPCOUNT, words.view(np.uint8)).view(np.uint64)
+    per_word = (per_byte * np.uint64(0x0101010101010101)) >> np.uint64(56)
+    return per_word.sum(axis=-1, dtype=np.int64)
+
+
+def permutation_cycle_types(perms: np.ndarray) -> tuple[list[CycleType], np.ndarray]:
+    """Distinct cycle types of the rows of a (k, n) permutation table, and
+    the index of each row's type among them.
+
+    A point's cycle length is the least r with sigma**r fixing it; the
+    powers are at most n - 1 gathers over the whole table.
+    """
+    k, n = perms.shape
+    points = np.arange(n)
+    lengths = np.zeros((k, n), dtype=np.int64)
+    power = perms
+    for r in range(1, n + 1):
+        lengths[(power == points) & (lengths == 0)] = r
+        if r < n:
+            power = np.take_along_axis(perms, power, axis=1)
+    cells = (np.arange(k)[:, None] * n + lengths - 1).ravel()
+    on_cycles = np.bincount(cells, minlength=k * n).reshape(k, n)
+    mults = np.ascontiguousarray(on_cycles // np.arange(1, n + 1), dtype=np.int64)
+    # One opaque n-cell key per row: a 1-d unique, far cheaper than axis=0.
+    keys = mults.view(np.dtype((np.void, 8 * n))).ravel()
+    _, first, labels = np.unique(keys, return_index=True, return_inverse=True)
+    return [CycleType(tuple(row)) for row in mults[first].tolist()], labels.reshape(-1)
+
+
+def _words(states: int) -> int:
+    """64-bit words that hold one bit per state."""
+    return -(-states // 64)
+
+
+def _scan_plan(
+    group: AbelianGroup, n: int, n_autos: int, n_sigmas: int
+) -> tuple[int, int, int]:
+    """Sizes for the naive scan: (free digits, batch, per_pass).
+
+    A block of states fixes the leading 2n - free digits and runs over the
+    last `free`; it is at least one mask word, and otherwise small enough
+    that its n x n packed masks and its boolean mask fit in PROFILE_CHUNK
+    bytes.  `batch` automorphisms share one pass over a block, and
+    `per_pass` permutations share one AND pass over the masks, so that the
+    masks, the boolean mask, the (batch, n_sigmas) count table and the AND
+    accumulator each stay within PROFILE_CHUNK bytes.
+    """
+    m = group.order
+
+    def fits(f: int) -> bool:
+        states = m**f
+        return states <= 64 or max(8 * n * n * _words(states), states) <= PROFILE_CHUNK
+
+    free = max(f for f in range(2 * n + 1) if fits(f))
+    words = _words(m**free)
+    per_auto = max(8 * n * n * words, m**free, m * m, 8 * n_sigmas)
+    batch = max(1, min(n_autos, _batch_size(group), PROFILE_CHUNK // per_auto))
+    per_pass = max(1, min(n_sigmas, PROFILE_CHUNK // (64 * batch * words)))
+    return free, batch, per_pass
+
+
+def _fixed_counts(
+    group: AbelianGroup, autos: Sequence[EndoMatrix], sigmas: np.ndarray
+) -> Iterator[tuple[int, np.ndarray]]:
+    """Fixed states of every pair (autos[a], sigmas[i]), by automorphism
+    batch: yields (first index of the batch, its (k, len(sigmas)) counts).
+
+    State slot s (elements in slots 0..n-1, characters in n..2n-1) reads
+    `slots[s]`, a digit broadcast on that slot's grid axis within the
+    block.  M[j, t] = [phi(e_j) = e_t] and [chi_j o phi^-1 = chi_t] is then
+    two small comparisons broadcast over the block, packed into words; a
+    pass ANDs, for each position j, the masks M[j, sigma(j)] of all its
+    permutations, and counts the set bits.
+    """
+    m = group.order
+    n = sigmas.shape[1]
+    free, batch, per_pass = _scan_plan(group, n, len(autos), len(sigmas))
+    lead = 2 * n - free
+    free_slots = [
+        np.arange(m).reshape((1,) * i + (m,) + (1,) * (free - 1 - i)) for i in range(free)
+    ]
+    nbytes = -(-(m**free) // 8)
+    for lo, (elem_images, char_images) in zip(
+        range(0, len(autos), batch), _image_batches(group, autos, batch)
+    ):
+        k = len(elem_images)
+        fixed = np.zeros((k, len(sigmas)), dtype=np.int64)
+        # Bytes past nbytes stay 0, so padding bits never count as fixed.
+        packed = np.zeros((n, n, k, 8 * _words(m**free)), dtype=np.uint8)
+        masks = packed.view(np.uint64)
+        bits = np.empty((k,) + (m,) * free, dtype=bool)
+        for block in itertools.product(range(m), repeat=lead):
+            slots = [np.full((1,) * free, d) for d in block] + free_slots
+            moved = [elem_images[:, slots[j]] for j in range(n)]
+            moved += [char_images[:, slots[n + j]] for j in range(n)]
+            for j in range(n):
+                for t in range(n):
+                    np.logical_and(moved[j] == slots[t], moved[n + j] == slots[n + t], out=bits)
+                    packed[j, t, :, :nbytes] = np.packbits(bits.reshape(k, -1), axis=1)
+            for s in range(0, len(sigmas), per_pass):
+                rows = sigmas[s : s + per_pass]
+                common = masks[0][rows[:, 0]]
+                for j in range(1, n):
+                    common &= masks[j][rows[:, j]]
+                fixed[:, s : s + per_pass] += popcount(common).T
+        yield lo, fixed
+
+
 def fixed_point_report(
     group: AbelianGroup, n: int, budget: Budget = DEFAULT_BUDGET
 ) -> FixedPointReport:
-    """Scan every action pair naively and average the fixed-point counts."""
+    """Scan every action pair naively and average the fixed-point counts.
+
+    Every state is tested against every pair (phi, sigma), permutations
+    PROFILE_CHUNK // (8n) at a time in permutations_of order.  Counts must
+    agree within each cycle type, and their total must divide exactly.
+    """
     if n < 1:
         raise ValueError(f"tuple length must be >= 1, got {n}")
     size = _state_space_size(group, n)
@@ -191,26 +332,24 @@ def fixed_point_report(
     autos = enumerate_automorphisms(group, budget)
     budget.check("max_naive_work", len(autos) * math.factorial(n) * size)
 
-    m = group.order
-    digits = _digit_arrays(m, n)
-    states = np.arange(size)
-    sigmas_by_type: dict[CycleType, list[Permutation]] = {}
-    for sigma in permutations_of(n):
-        sigmas_by_type.setdefault(CycleType.from_permutation(sigma), []).append(sigma)
     counts: dict[tuple[int, CycleType], int] = {}
     total = 0
-    for a_idx, images in enumerate(_automorphism_images(group, autos)):
-        gathered = _gather(digits, *images)
-        for ctype, sigmas in sigmas_by_type.items():
-            for sigma in sigmas:
-                fixed = int(np.count_nonzero(_state_image(gathered, sigma, m) == states))
-                key = (a_idx, ctype)
-                if key in counts and counts[key] != fixed:
-                    raise IntegralityError(
-                        f"fixed-point count for {group} varies within a cycle type"
-                    )
-                counts[key] = fixed
-                total += fixed
+    perms = permutations_of(n)
+    while chunk := list(itertools.islice(perms, max(1, PROFILE_CHUNK // (8 * n)))):
+        sigmas = np.array(chunk, dtype=np.intp)
+        ctypes, labels = permutation_cycle_types(sigmas)
+        first = np.unique(labels, return_index=True)[1]
+        for lo, fixed in _fixed_counts(group, autos, sigmas):
+            representative = fixed[:, first]
+            varies = bool((fixed != representative[:, labels]).any())
+            for a_idx, row in enumerate(representative.tolist(), start=lo):
+                for ctype, value in zip(ctypes, row):
+                    varies |= counts.setdefault((a_idx, ctype), value) != value
+            if varies:
+                raise IntegralityError(
+                    f"fixed-point count for {group} varies within a cycle type"
+                )
+            total += int(fixed.sum())
     denominator = len(autos) * math.factorial(n)
     if total % denominator:
         raise IntegralityError(

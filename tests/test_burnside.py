@@ -3,7 +3,9 @@ and the orbit-counting routines."""
 import itertools
 import math
 import random
+import tracemalloc
 
+import numpy as np
 import pytest
 
 from escount import abelian, burnside
@@ -16,7 +18,7 @@ from escount.abelian import (
     enumerate_automorphisms,
     parse_group,
 )
-from escount.budget import Budget, BudgetExceededError
+from escount.budget import DEFAULT_BUDGET, Budget, BudgetExceededError, IntegralityError
 from escount.burnside import (
     act,
     compose_permutations,
@@ -29,7 +31,9 @@ from escount.burnside import (
     orbit_count_naive,
     orbit_enumerate,
     orbit_sizes,
+    permutation_cycle_types,
     permutations_of,
+    popcount,
 )
 from escount.numtheory import CycleType, cycle_types
 from escount.verify import abelian_groups_of_order
@@ -309,6 +313,79 @@ def test_fixed_point_report_invariants():
 def test_fixed_point_report_c4_pairs():
     report = fixed_point_report(parse_group("C4"), 2)
     assert report.orbit_count == 76
+
+
+# (group, n) on which every pair of the report is checked against the
+# state-image definition.
+PER_PAIR_CASES = [(group, n) for group in small_groups(8) for n in (1, 2)] + [
+    (parse_group("C2"), 5),
+    (parse_group("C3"), 3),
+    (parse_group("C2^2"), 3),
+]
+
+
+@pytest.mark.parametrize("group,n", PER_PAIR_CASES, ids=str)
+def test_fixed_point_report_matches_state_images_per_pair(group, n):
+    report = fixed_point_report(group, n)
+    autos = enumerate_automorphisms(group)
+    for a_idx, auto in enumerate(autos):
+        for sigma in permutations_of(n):
+            key = (a_idx, CycleType.from_permutation(sigma))
+            assert report.counts[key] == fixed_points_naive((auto, sigma)), (a_idx, sigma)
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_permutation_cycle_types_match_from_permutation(n):
+    sigmas = list(permutations_of(n))
+    types, labels = permutation_cycle_types(np.array(sigmas))
+    assert len(set(types)) == len(types) == len(list(cycle_types(n)))
+    assert [types[label] for label in labels] == [
+        CycleType.from_permutation(sigma) for sigma in sigmas
+    ]
+
+
+def test_popcount_matches_bin_on_every_byte():
+    for byte in range(256):
+        assert burnside._BYTE_POPCOUNT[byte] == bin(byte).count("1")
+        words = np.array([[byte << (8 * i) for i in range(8)]], dtype=np.uint64)
+        assert popcount(words).tolist() == [8 * bin(byte).count("1")]
+    rng = np.random.default_rng(7)
+    words = rng.integers(0, 1 << 63, size=(5, 3, 11), dtype=np.uint64) << np.uint64(1)
+    words |= rng.integers(0, 2, size=words.shape, dtype=np.uint64)
+    expected = [[sum(bin(w).count("1") for w in row) for row in block] for block in words.tolist()]
+    assert popcount(words).tolist() == expected
+
+
+@pytest.mark.parametrize("spec,total", [("C2^2", 29), ("C2^3", 836)])
+def test_every_average_is_checked_for_integrality(monkeypatch, spec, total):
+    """With one automorphism dropped the acting set is no group, and the
+    totals (29 over 5 pairs, 836 over 167) do not divide."""
+    complete = burnside.enumerate_automorphisms
+
+    def all_but_last(group, budget=DEFAULT_BUDGET):
+        return complete(group, budget)[:-1]
+
+    monkeypatch.setattr(burnside, "enumerate_automorphisms", all_but_last)
+    group = parse_group(spec)
+    for method in (orbit_count_naive, orbit_count_congruence):
+        with pytest.raises(IntegralityError, match=str(total)):
+            method(group, 1)
+
+
+def test_fixed_point_report_memory_is_bounded_by_the_chunk(monkeypatch):
+    """C4 at n=4 has 65,536 states; 2n int64 digit arrays over them take
+    4 MiB.  With a 4 KiB chunk the scan peaked at about 25 KB."""
+    group = parse_group("C4")
+    enumerate_automorphisms(group)
+    monkeypatch.setattr(burnside, "PROFILE_CHUNK", 1 << 12)
+    tracemalloc.start()
+    try:
+        report = fixed_point_report(group, 4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.orbit_count == 1996
+    assert peak < 128 * 1024, peak
 
 
 def test_orbit_enumerate_smallest_cases():

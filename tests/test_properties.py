@@ -1,7 +1,8 @@
 """Property tests on random small cases: the GL class census against the
 matrix scan, closed_count against the congruence average and the naive
-oracle, group specs surviving a print-and-parse round trip, and act being a
-group action.  Skipped when hypothesis is not installed."""
+oracle, the naive scan's per-pair counts against the state-image
+definition, group specs surviving a print-and-parse round trip, and act
+being a group action.  Skipped when hypothesis is not installed."""
 import pytest
 
 pytest.importorskip("hypothesis")
@@ -20,12 +21,15 @@ from escount.abelian import (  # noqa: E402
 from escount.burnside import (  # noqa: E402
     act,
     compose_permutations,
+    fixed_point_report,
+    fixed_points_naive,
     identity_permutation,
     orbit_count_congruence,
     orbit_count_naive,
 )
 from escount.closed_form import closed_count, matrix_scan_census  # noqa: E402
 from escount.glclasses import gl_class_census  # noqa: E402
+from escount.numtheory import CycleType  # noqa: E402
 from escount.verify import abelian_groups_of_order  # noqa: E402
 
 # (p, s) whose matrix scan has at most 2**12 candidates.
@@ -54,6 +58,19 @@ def test_closed_count_agrees_with_congruence_and_naive(case):
     group, n = case
     closed = closed_count(group, n)
     assert closed == orbit_count_congruence(group, n) == orbit_count_naive(group, n)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_fixed_point_report_matches_state_images(data):
+    group, n = data.draw(st.sampled_from(SMALL_CASES))
+    report = fixed_point_report(group, n)
+    autos = enumerate_automorphisms(group)
+    for _ in range(3):
+        a_idx = data.draw(st.integers(0, len(autos) - 1))
+        sigma = tuple(data.draw(st.permutations(range(n))))
+        key = (a_idx, CycleType.from_permutation(sigma))
+        assert report.counts[key] == fixed_points_naive((autos[a_idx], sigma))
 
 
 @settings(max_examples=50, deadline=None)
