@@ -8,11 +8,18 @@ i-th generator to the ``l_i``-th power of a fixed primitive ``m_i``-th root
 of unity.  Endomorphisms are integer matrices acting on exponent tuples,
 with entry ``(i, j)`` constrained to be a multiple of
 ``m_i / gcd(m_i, m_j)`` so that the map respects factor orders.
+
+The automorphisms of a group are found by one batched scan
+(automorphism_chunks) and cached as one read-only (k, s, s) int64 stack,
+wrapped in an Automorphisms sequence: counting code reads the stack, and an
+EndoMatrix is built, and checked, only when an item is taken.
 """
 from __future__ import annotations
 
 import itertools
 import math
+import operator
+from collections import abc
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Iterable, Iterator, Sequence
@@ -297,13 +304,37 @@ def automorphism_chunks(group: AbelianGroup) -> Iterator[np.ndarray]:
         yield cand
 
 
+class Automorphisms(abc.Sequence):
+    """The automorphisms of `group` over one read-only (k, s, s) int64 stack.
+
+    `matrices` is the stack itself.  An integer index builds, and so checks,
+    one EndoMatrix; a slice is another Automorphisms over the sliced stack,
+    sharing its memory.
+    """
+
+    __slots__ = ("group", "matrices")
+
+    def __init__(self, group: AbelianGroup, matrices: np.ndarray):
+        self.group = group
+        self.matrices = matrices
+
+    def __len__(self) -> int:
+        return len(self.matrices)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return Automorphisms(self.group, self.matrices[index])
+        rows = self.matrices[operator.index(index)].tolist()
+        return EndoMatrix(self.group, tuple(map(tuple, rows)))
+
+
 def enumerate_automorphisms(
     group: AbelianGroup, budget: Budget = DEFAULT_BUDGET
-) -> tuple[EndoMatrix, ...]:
+) -> Automorphisms:
     """All automorphisms of the group, in the order automorphism_chunks
     finds them.
 
-    The budget is checked on every call; the list is cached by group
+    The budget is checked on every call; the stack is cached by group
     alone, so every budget that admits the group reads the same entry.
     """
     budget.check("max_group_order", group.order)
@@ -313,12 +344,10 @@ def enumerate_automorphisms(
 
 
 @lru_cache(maxsize=None)
-def _automorphisms(group: AbelianGroup) -> tuple[EndoMatrix, ...]:
-    return tuple(
-        EndoMatrix(group, tuple(map(tuple, mat)))
-        for stack in automorphism_chunks(group)
-        for mat in stack.tolist()
-    )
+def _automorphisms(group: AbelianGroup) -> Automorphisms:
+    matrices = np.concatenate(list(automorphism_chunks(group)))
+    matrices.flags.writeable = False
+    return Automorphisms(group, matrices)
 
 
 # The cache's statistics and reset, under the public name.

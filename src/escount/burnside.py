@@ -21,7 +21,7 @@ import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterator
 
 import numpy as np
 
@@ -97,27 +97,22 @@ def _batch_size(group: AbelianGroup) -> int:
     return max(1, PROFILE_CHUNK // (group.order * max(1, group.rank)))
 
 
-def _matrix_stack(group: AbelianGroup, autos: Sequence[EndoMatrix]) -> np.ndarray:
-    s = group.rank
-    return np.array([auto.rows for auto in autos], dtype=np.int64).reshape(len(autos), s, s)
-
-
 def _image_batches(
-    group: AbelianGroup, autos: Sequence[EndoMatrix], batch: int
+    group: AbelianGroup, matrices: np.ndarray, batch: int
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Element and character index images of `batch` automorphisms at a
-    time, as two (k, |G|) arrays."""
-    for lo in range(0, len(autos), batch):
-        mats = _matrix_stack(group, autos[lo : lo + batch])
+    """Element and character index images of `batch` automorphisms of a
+    (k, s, s) stack at a time, as two (batch, |G|) arrays."""
+    for lo in range(0, len(matrices), batch):
+        mats = matrices[lo : lo + batch]
         yield element_images(group, mats), character_images(group, mats)
 
 
 def _automorphism_images(
-    group: AbelianGroup, autos: Sequence[EndoMatrix]
+    group: AbelianGroup, matrices: np.ndarray
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Element and character index images of each automorphism in turn,
-    built in batches of PROFILE_CHUNK image cells."""
-    for elem_images, char_images in _image_batches(group, autos, _batch_size(group)):
+    """Element and character index images of each automorphism of a
+    (k, s, s) stack in turn, built in batches of PROFILE_CHUNK image cells."""
+    for elem_images, char_images in _image_batches(group, matrices, _batch_size(group)):
         yield from zip(elem_images, char_images)
 
 
@@ -157,7 +152,8 @@ def fixed_points_naive(pair: ActionPair, budget: Budget = DEFAULT_BUDGET) -> int
     size = _state_space_size(group, n)
     budget.check("max_state_space", size)
     digits = _digit_arrays(group.order, n)
-    gathered = _gather(digits, *next(_automorphism_images(group, [auto])))
+    matrix = np.array(auto.rows, dtype=np.int64).reshape(1, group.rank, group.rank)
+    gathered = _gather(digits, *next(_automorphism_images(group, matrix)))
     image = _state_image(gathered, sigma, group.order)
     return int(np.count_nonzero(image == np.arange(size)))
 
@@ -270,9 +266,9 @@ def _scan_plan(
 
 
 def _fixed_counts(
-    group: AbelianGroup, autos: Sequence[EndoMatrix], sigmas: np.ndarray
+    group: AbelianGroup, matrices: np.ndarray, sigmas: np.ndarray
 ) -> Iterator[tuple[int, np.ndarray]]:
-    """Fixed states of every pair (autos[a], sigmas[i]), by automorphism
+    """Fixed states of every pair (matrices[a], sigmas[i]), by automorphism
     batch: yields (first index of the batch, its (k, len(sigmas)) counts).
 
     State slot s (elements in slots 0..n-1, characters in n..2n-1) reads
@@ -284,14 +280,14 @@ def _fixed_counts(
     """
     m = group.order
     n = sigmas.shape[1]
-    free, batch, per_pass = _scan_plan(group, n, len(autos), len(sigmas))
+    free, batch, per_pass = _scan_plan(group, n, len(matrices), len(sigmas))
     lead = 2 * n - free
     free_slots = [
         np.arange(m).reshape((1,) * i + (m,) + (1,) * (free - 1 - i)) for i in range(free)
     ]
     nbytes = -(-(m**free) // 8)
     for lo, (elem_images, char_images) in zip(
-        range(0, len(autos), batch), _image_batches(group, autos, batch)
+        range(0, len(matrices), batch), _image_batches(group, matrices, batch)
     ):
         k = len(elem_images)
         fixed = np.zeros((k, len(sigmas)), dtype=np.int64)
@@ -329,8 +325,8 @@ def fixed_point_report(
         raise ValueError(f"tuple length must be >= 1, got {n}")
     size = _state_space_size(group, n)
     budget.check("max_state_space", size)
-    autos = enumerate_automorphisms(group, budget)
-    budget.check("max_naive_work", len(autos) * math.factorial(n) * size)
+    matrices = enumerate_automorphisms(group, budget).matrices
+    budget.check("max_naive_work", len(matrices) * math.factorial(n) * size)
 
     counts: dict[tuple[int, CycleType], int] = {}
     total = 0
@@ -339,7 +335,7 @@ def fixed_point_report(
         sigmas = np.array(chunk, dtype=np.intp)
         ctypes, labels = permutation_cycle_types(sigmas)
         first = np.unique(labels, return_index=True)[1]
-        for lo, fixed in _fixed_counts(group, autos, sigmas):
+        for lo, fixed in _fixed_counts(group, matrices, sigmas):
             representative = fixed[:, first]
             varies = bool((fixed != representative[:, labels]).any())
             for a_idx, row in enumerate(representative.tolist(), start=lo):
@@ -350,7 +346,7 @@ def fixed_point_report(
                     f"fixed-point count for {group} varies within a cycle type"
                 )
             total += int(fixed.sum())
-    denominator = len(autos) * math.factorial(n)
+    denominator = len(matrices) * math.factorial(n)
     if total % denominator:
         raise IntegralityError(
             f"fixed-point total {total} for {group}, n={n} is not divisible "
@@ -364,17 +360,16 @@ def orbit_count_naive(group: AbelianGroup, n: int, budget: Budget = DEFAULT_BUDG
     return fixed_point_report(group, n, budget).orbit_count
 
 
-def fixed_count_profiles(
-    group: AbelianGroup, autos: Sequence[EndoMatrix], n: int
-) -> np.ndarray:
-    """|Fix(phi**r)| for r = 1..n, one row per automorphism phi in `autos`.
+def fixed_count_profiles(group: AbelianGroup, matrices: np.ndarray, n: int) -> np.ndarray:
+    """|Fix(phi**r)| for r = 1..n, one row per automorphism phi of a
+    (k, s, s) stack.
 
     All automorphisms are mapped over all elements at once; each power is
     one more gather through the element-index permutation.
     """
-    perms = element_images(group, _matrix_stack(group, autos))
+    perms = element_images(group, matrices)
     identity = np.arange(group.order, dtype=np.int64)
-    profiles = np.empty((len(autos), n), dtype=np.int64)
+    profiles = np.empty((len(matrices), n), dtype=np.int64)
     power = perms
     for r in range(n):
         profiles[:, r] = (power == identity).sum(axis=1)
@@ -395,11 +390,11 @@ def fixed_count_census(
     """
     if n < 1:
         raise ValueError(f"tuple length must be >= 1, got {n}")
-    autos = enumerate_automorphisms(group, budget)
+    matrices = enumerate_automorphisms(group, budget).matrices
     chunk = _batch_size(group)
     census: Counter = Counter()
-    for lo in range(0, len(autos), chunk):
-        profiles = fixed_count_profiles(group, autos[lo : lo + chunk], n)
+    for lo in range(0, len(matrices), chunk):
+        profiles = fixed_count_profiles(group, matrices[lo : lo + chunk], n)
         rows, counts = np.unique(profiles, axis=0, return_counts=True)
         census.update(dict(zip(map(tuple, rows.tolist()), counts.tolist())))
     return dict(census)
@@ -430,17 +425,18 @@ def orbit_count_congruence(
 
 
 def _generator_images(
-    group: AbelianGroup, autos: Sequence[EndoMatrix]
+    group: AbelianGroup, matrices: np.ndarray
 ) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Element and character images of a small generating set of `autos`,
-    found greedily on the element images; the generated subgroup is closed
-    over element-image rows, a frontier at a time, keyed by their bytes."""
+    """Element and character images of a small generating set of the
+    automorphisms in a (k, s, s) stack, found greedily on the element
+    images; the generated subgroup is closed over element-image rows, a
+    frontier at a time, keyed by their bytes."""
     identity = np.arange(group.order, dtype=np.int64)
     generated = {identity.tobytes()}
     members = [identity]
     generators: list[tuple[np.ndarray, np.ndarray]] = []
-    for elem_images, char_images in _automorphism_images(group, autos):
-        if len(generated) == len(autos):
+    for elem_images, char_images in _automorphism_images(group, matrices):
+        if len(generated) == len(matrices):
             break
         if elem_images.tobytes() in generated:
             continue
@@ -475,13 +471,13 @@ def _orbit_labels(group: AbelianGroup, n: int, budget: Budget) -> np.ndarray:
     """
     size = _state_space_size(group, n)
     budget.check("max_state_space", size)
-    autos = enumerate_automorphisms(group, budget)
+    matrices = enumerate_automorphisms(group, budget).matrices
     m = group.order
     digits = _digit_arrays(m, n)
     identity = identity_permutation(n)
     image_maps = [
         _state_image(_gather(digits, *images), identity, m)
-        for images in _generator_images(group, autos)
+        for images in _generator_images(group, matrices)
     ]
     unmoved = _gather(digits, np.arange(m), np.arange(m))
     image_maps += [_state_image(unmoved, sigma, m) for sigma in _sigma_generators(n)]

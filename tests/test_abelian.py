@@ -3,10 +3,12 @@ matrices, automorphism enumeration, and character pullbacks."""
 import itertools
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import escount
 from escount import abelian
 from escount.abelian import (
     ESC,
@@ -165,7 +167,7 @@ def test_endo_matrix_apply_compose_power():
 def test_enumerate_automorphisms_trivial_group():
     trivial = parse_group("C1")
     autos = enumerate_automorphisms(trivial)
-    assert autos == (EndoMatrix.identity(trivial),)
+    assert tuple(autos) == (EndoMatrix.identity(trivial),)
 
 
 def test_automorphism_count_cyclic():
@@ -248,7 +250,7 @@ def test_automorphisms_match_image_sort_reference():
     for group in small_groups(32):
         if endo_candidate_count(group) > DEFAULT_BUDGET.max_endo_candidates:
             continue  # C2^5
-        assert enumerate_automorphisms(group) == automorphisms_by_image_sort(group), group
+        assert tuple(enumerate_automorphisms(group)) == automorphisms_by_image_sort(group), group
 
 
 def test_automorphism_scan_matches_hillar_rhea_order():
@@ -295,6 +297,37 @@ def test_automorphism_cache_is_keyed_by_group_alone():
     assert enumerate_automorphisms(group, DEFAULT_BUDGET) is first
     assert enumerate_automorphisms(group, Budget(max_group_order=8)) is first
     assert enumerate_automorphisms.cache_info().currsize == 1
+
+
+def test_automorphisms_are_one_read_only_stack():
+    group = parse_group("C2xC4xC8")
+    enumerate_automorphisms.cache_clear()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        view = enumerate_automorphisms(group)
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    stack = view.matrices
+    # The cache keeps the stack and little else: no object per automorphism.
+    assert kept < 2 * stack.nbytes, (kept, stack.nbytes)
+    with pytest.raises(ValueError):
+        stack[0, 0, 0] = 1
+    assert np.array_equal(stack, np.concatenate(list(automorphism_chunks(group))))
+    assert len(view) == len(stack)
+    for i, mat in enumerate(stack.tolist()):
+        assert view[i] == EndoMatrix(group, tuple(map(tuple, mat)))
+    head = view[:-1]
+    assert isinstance(head, abelian.Automorphisms) and len(head) == len(view) - 1
+    assert np.shares_memory(head.matrices, view.matrices)
+
+
+def test_automorphism_items_carry_rows_of_ints():
+    for auto in escount.enumerate_automorphisms(parse_group("C2^2xC3")):
+        assert type(auto.rows) is tuple
+        assert all(type(row) is tuple for row in auto.rows)
+        assert all(type(a) is int for row in auto.rows for a in row)
 
 
 def test_tighter_budget_refuses_a_cached_group():
@@ -344,8 +377,7 @@ def test_pullback_matches_pairing_on_all_small_groups():
             dtype=np.int64,
         )
         autos = enumerate_automorphisms(group)
-        s = group.rank
-        mats = np.array([auto.rows for auto in autos], dtype=np.int64).reshape(len(autos), s, s)
+        mats = autos.matrices
         preimage_perms = np.argsort(element_images(group, mats), axis=1)
         for auto, preimage_perm in zip(autos, preimage_perms):
             inverse = invert_automorphism(auto)
@@ -367,10 +399,10 @@ def test_batched_images_match_per_automorphism_permutations():
     assert AbelianGroup(()) in groups
     for group in groups:
         autos = enumerate_automorphisms(group)
+        mats = autos.matrices
         if len(autos) > 1000:  # C2^4 and C2xC4xC8
-            autos = rng.sample(autos, 500)
-        s = group.rank
-        mats = np.array([auto.rows for auto in autos], dtype=np.int64).reshape(len(autos), s, s)
+            picked = rng.sample(range(len(autos)), 500)
+            autos, mats = [autos[i] for i in picked], mats[picked]
         elem_rows = element_images(group, mats).tolist()
         char_rows = character_images(group, mats).tolist()
         for auto, elem_row, char_row in zip(autos, elem_rows, char_rows):

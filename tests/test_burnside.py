@@ -35,6 +35,7 @@ from escount.burnside import (
     permutations_of,
     popcount,
 )
+from escount.closed_form import closed_count
 from escount.numtheory import CycleType, cycle_types
 from escount.verify import abelian_groups_of_order
 
@@ -230,10 +231,11 @@ def test_fixed_count_profiles_match_element_and_character_solutions():
     rng = random.Random(1955)
     for group in small_groups(16):
         autos = enumerate_automorphisms(group)
+        picked = range(len(autos))
         if group == parse_group("C2^4"):
-            autos = rng.sample(autos, 500)
-        profiles = fixed_count_profiles(group, autos, 4)
-        for auto, profile in zip(autos, profiles.tolist()):
+            picked = rng.sample(picked, 500)
+        profiles = fixed_count_profiles(group, autos.matrices[list(picked)], 4)
+        for auto, profile in zip((autos[i] for i in picked), profiles.tolist()):
             for r, fixed in enumerate(profile, start=1):
                 assert fixed == count_element_solutions(auto, r), (group, auto, r)
                 assert fixed == count_character_solutions(auto, r), (group, auto, r)
@@ -261,6 +263,22 @@ def test_orbit_count_congruence_builds_no_index_permutations(refuse_index_permut
 def test_naive_oracle_builds_permutations_in_batches(refuse_index_permutations):
     assert orbit_count_naive(parse_group("C2^3"), 2) == 40
     assert len(orbit_enumerate(parse_group("C2^2"), 1)) == ORACLE_COUNTS[("C2^2", 1)]
+
+
+def test_counting_paths_build_no_endo_matrix(monkeypatch):
+    """Every counting path reads the cached automorphism stack; none of them
+    wraps an automorphism in an EndoMatrix."""
+
+    def refuse(self):
+        raise AssertionError("counting paths must not build EndoMatrix objects")
+
+    enumerate_automorphisms.cache_clear()
+    monkeypatch.setattr(EndoMatrix, "__post_init__", refuse)
+    assert closed_count(parse_group("C2xC4xC8"), 2) == 19018
+    group = parse_group("C2xC4")
+    assert orbit_count_congruence(group, 2) == 364
+    assert orbit_count_naive(group, 1) == 19
+    assert len(orbit_enumerate(group, 1)) == 19
 
 
 @pytest.mark.parametrize("spec,n", [("C2^3", 1), ("C2^3", 2), ("C2xC4", 1), ("C4xC4", 1)])
