@@ -11,6 +11,7 @@ with entry ``(i, j)`` constrained to be a multiple of
 
 The automorphisms of a group are found by one batched scan
 (automorphism_chunks) and cached as one read-only (k, s, s) int64 stack,
+sized in advance by the closed-form order (automorphism_count) and
 wrapped in an Automorphisms sequence: counting code reads the stack, and an
 EndoMatrix is built, and checked, only when an item is taken.
 """
@@ -26,7 +27,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .budget import Budget, DEFAULT_BUDGET
+from .budget import Budget, DEFAULT_BUDGET, IntegralityError
 from .numtheory import factorize, is_prime
 
 GroupElement = tuple[int, ...]
@@ -138,11 +139,6 @@ def parse_group(text: str) -> AbelianGroup:
 
 def elements(group: AbelianGroup) -> Iterator[GroupElement]:
     """All exponent tuples of the group in lexicographic order."""
-    return itertools.product(*(range(m) for m in group.moduli))
-
-
-def characters(group: AbelianGroup) -> Iterator[Character]:
-    """All characters of the group, as exponent tuples in lexicographic order."""
     return itertools.product(*(range(m) for m in group.moduli))
 
 
@@ -304,6 +300,27 @@ def automorphism_chunks(group: AbelianGroup) -> Iterator[np.ndarray]:
         yield cand
 
 
+def automorphism_count(group: AbelianGroup) -> int:
+    """|Aut(G)| in closed form (Hillar and Rhea, 2007), prime by prime.
+
+    With exponents e_1 <= ... <= e_k of the p-part, d_i the last and c_i the
+    first (1-based) position holding e_i, the p-part contributes
+    prod_i (p^d_i - p^(i-1)) * prod_j p^(e_j (k - d_j))
+    * prod_i p^((e_i - 1)(k - c_i + 1)).
+    """
+    order = 1
+    for p in sorted({p for p, _ in group.factors}):
+        exps = [e for q, e in group.factors if q == p]
+        k = len(exps)
+        last = [k - exps[::-1].index(e) for e in exps]
+        first = [exps.index(e) + 1 for e in exps]
+        for i, e in enumerate(exps):
+            order *= p ** last[i] - p**i
+            order *= p ** (e * (k - last[i]))
+            order *= p ** ((e - 1) * (k - first[i] + 1))
+    return order
+
+
 class Automorphisms(abc.Sequence):
     """The automorphisms of `group` over one read-only (k, s, s) int64 stack.
 
@@ -345,7 +362,18 @@ def enumerate_automorphisms(
 
 @lru_cache(maxsize=None)
 def _automorphisms(group: AbelianGroup) -> Automorphisms:
-    matrices = np.concatenate(list(automorphism_chunks(group)))
+    """The scanned automorphisms, copied chunk by chunk into a stack
+    preallocated at automorphism_count rows; a scan that finds any other
+    number raises IntegralityError."""
+    k = automorphism_count(group)
+    matrices = np.empty((k, group.rank, group.rank), dtype=np.int64)
+    found = 0
+    for chunk in automorphism_chunks(group):
+        if found + len(chunk) <= k:
+            matrices[found : found + len(chunk)] = chunk
+        found += len(chunk)
+    if found != k:
+        raise IntegralityError(f"scanned {found} automorphisms of {group}, expected {k}")
     matrices.flags.writeable = False
     return Automorphisms(group, matrices)
 

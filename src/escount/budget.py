@@ -35,6 +35,15 @@ class IntegralityError(RuntimeError):
     """
 
 
+def exact_quotient(total: int, denominator: int, what: str) -> int:
+    """total // denominator, or IntegralityError if the division leaves a
+    remainder; `what` names the total in the message."""
+    quotient, remainder = divmod(total, denominator)
+    if remainder:
+        raise IntegralityError(f"{what}: {total} is not divisible by {denominator}")
+    return quotient
+
+
 @dataclass(frozen=True)
 class Budget:
     """Caps on the enumeration workloads, tuned for desk-scale experiments.

@@ -29,6 +29,7 @@ from .abelian import (
     ESC,
     AbelianGroup,
     EndoMatrix,
+    automorphism_count,
     character_images,
     count_character_solutions,
     count_element_solutions,
@@ -38,7 +39,7 @@ from .abelian import (
     invert_automorphism,
     pullback_character,
 )
-from .budget import Budget, DEFAULT_BUDGET, IntegralityError
+from .budget import Budget, DEFAULT_BUDGET, IntegralityError, exact_quotient
 from .numtheory import CycleType, cycle_index_sum
 
 Permutation = tuple[int, ...]
@@ -319,14 +320,16 @@ def fixed_point_report(
 
     Every state is tested against every pair (phi, sigma), permutations
     PROFILE_CHUNK // (8n) at a time in permutations_of order.  Counts must
-    agree within each cycle type, and their total must divide exactly.
+    agree within each cycle type, and their total must divide exactly.  The
+    naive work limit takes |Aut(G)| from automorphism_count, so an
+    oversized scan is refused before any automorphism is listed.
     """
     if n < 1:
         raise ValueError(f"tuple length must be >= 1, got {n}")
     size = _state_space_size(group, n)
     budget.check("max_state_space", size)
+    budget.check("max_naive_work", automorphism_count(group) * math.factorial(n) * size)
     matrices = enumerate_automorphisms(group, budget).matrices
-    budget.check("max_naive_work", len(matrices) * math.factorial(n) * size)
 
     counts: dict[tuple[int, CycleType], int] = {}
     total = 0
@@ -346,13 +349,10 @@ def fixed_point_report(
                     f"fixed-point count for {group} varies within a cycle type"
                 )
             total += int(fixed.sum())
-    denominator = len(matrices) * math.factorial(n)
-    if total % denominator:
-        raise IntegralityError(
-            f"fixed-point total {total} for {group}, n={n} is not divisible "
-            f"by the acting group order {denominator}"
-        )
-    return FixedPointReport(group, n, counts, total, total // denominator)
+    orbit_count = exact_quotient(
+        total, len(matrices) * math.factorial(n), f"fixed-point total for {group}, n={n}"
+    )
+    return FixedPointReport(group, n, counts, total, orbit_count)
 
 
 def orbit_count_naive(group: AbelianGroup, n: int, budget: Budget = DEFAULT_BUDGET) -> int:
@@ -414,14 +414,11 @@ def orbit_count_congruence(
     kernel.  The total over the acting group divides exactly.
     """
     census = fixed_count_census(group, n, budget)
-    total = cycle_index_sum(census, n)
-    denominator = sum(census.values()) * math.factorial(n)
-    if total % denominator:
-        raise IntegralityError(
-            f"fixed-point total {total} for {group}, n={n} is not divisible "
-            f"by the acting group order {denominator}"
-        )
-    return total // denominator
+    return exact_quotient(
+        cycle_index_sum(census, n),
+        sum(census.values()) * math.factorial(n),
+        f"fixed-point total for {group}, n={n}",
+    )
 
 
 def _generator_images(

@@ -12,14 +12,17 @@ import argparse
 import csv
 import json
 import sys
-import time
 from dataclasses import asdict, dataclass
 
 from .abelian import GroupParseError, parse_group
-from .budget import Budget, BudgetExceededError, budget_from_env
-from .burnside import orbit_count_congruence, orbit_count_naive
-from .closed_form import closed_count
-from .verify import abelian_groups_of_order, check_reference_values, sweep
+from .budget import Budget, budget_from_env
+from .verify import (
+    CaseResult,
+    abelian_groups_of_order,
+    check_reference_values,
+    cross_check,
+    sweep,
+)
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -27,11 +30,8 @@ EXIT_PARSE_ERROR = 2
 EXIT_BUDGET = 3
 EXIT_DISAGREEMENT = 4
 
-_COUNT_METHODS = {
-    "closed": closed_count,
-    "congruence": orbit_count_congruence,
-    "naive": orbit_count_naive,
-}
+# `count --method` choices: verify methods in the order "all" runs them, then "all".
+METHOD_CHOICES = ("closed", "congruence", "naive", "all")
 
 
 @dataclass
@@ -71,10 +71,6 @@ def _emit_json(records: list[OutputRecord], out) -> None:
 _EMITTERS = {"text": _emit_text, "csv": _emit_csv, "json": _emit_json}
 
 
-def _emit(records: list[OutputRecord], fmt: str, out) -> None:
-    _EMITTERS[fmt](records, out)
-
-
 def _positive_int(raw: str) -> int:
     try:
         value = int(raw)
@@ -100,7 +96,7 @@ def build_parser() -> argparse.ArgumentParser:
     count.add_argument("--n", required=True, type=_positive_int, help="tuple length")
     count.add_argument(
         "--method",
-        choices=["closed", "congruence", "naive", "all"],
+        choices=METHOD_CHOICES,
         default="closed",
         help="counting method (all = run every method and compare)",
     )
@@ -123,11 +119,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _timed_record(group, n: int, method: str, fn, budget: Budget) -> OutputRecord:
-    start = time.perf_counter()
-    value = fn(group, n, budget)
-    elapsed_ms = int(round((time.perf_counter() - start) * 1000))
-    return OutputRecord(str(group), n, method, str(value), elapsed_ms)
+def _records(cases: list[CaseResult]) -> list[OutputRecord]:
+    """One record per count, case by case in method order."""
+    return [
+        OutputRecord(case.group, case.n, method, str(value), case.elapsed_ms[method])
+        for case in cases
+        for method, value in case.values.items()
+    ]
 
 
 def cmd_count(args, budget: Budget) -> int:
@@ -136,18 +134,15 @@ def cmd_count(args, budget: Budget) -> int:
     except GroupParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE_ERROR
-    names = list(_COUNT_METHODS) if args.method == "all" else [args.method]
-    records = []
-    for name in names:
-        try:
-            records.append(_timed_record(group, args.n, name, _COUNT_METHODS[name], budget))
-        except BudgetExceededError as exc:
-            print(f"skipped {name}: {exc}", file=sys.stderr)
-    if not records:
+    names = list(METHOD_CHOICES[:-1]) if args.method == "all" else [args.method]
+    case = cross_check(group, args.n, names, budget)
+    for name, reason in case.skipped.items():
+        print(f"skipped {name}: {reason}", file=sys.stderr)
+    if not case.values:
         print("error: no method fit within the budget", file=sys.stderr)
         return EXIT_BUDGET
-    _emit(records, args.format, sys.stdout)
-    if len({r.count for r in records}) > 1:
+    _EMITTERS[args.format](_records([case]), sys.stdout)
+    if not case.agree:
         print("error: methods disagree", file=sys.stderr)
         return EXIT_DISAGREEMENT
     return EXIT_OK
@@ -190,12 +185,7 @@ def cmd_verify(args, budget: Budget) -> int:
         json.dump(payload, sys.stdout, indent=2)
         sys.stdout.write("\n")
     else:
-        records = [
-            OutputRecord(c.group, c.n, method, str(value), c.elapsed_ms.get(method, 0))
-            for c in report.cases
-            for method, value in c.values.items()
-        ]
-        _emit(records, args.format, sys.stdout)
+        _EMITTERS[args.format](_records(report.cases), sys.stdout)
         if args.format == "text":
             for case in report.cases:
                 for method, reason in case.skipped.items():
@@ -228,16 +218,12 @@ def cmd_table(args, budget: Budget) -> int:
             for order in range(1, args.all_orders + 1)
             for group in abelian_groups_of_order(order)
         ]
-    records = []
-    refused = 0
-    for group in groups:
-        try:
-            records.append(_timed_record(group, args.n, "closed", closed_count, budget))
-        except BudgetExceededError as exc:
-            print(f"error: {group}: {exc}", file=sys.stderr)
-            refused += 1
-    _emit(records, args.format, sys.stdout)
-    return EXIT_BUDGET if refused else EXIT_OK
+    cases = [cross_check(group, args.n, ["closed"], budget) for group in groups]
+    for case in cases:
+        for reason in case.skipped.values():
+            print(f"error: {case.group}: {reason}", file=sys.stderr)
+    _EMITTERS[args.format](_records(cases), sys.stdout)
+    return EXIT_BUDGET if any(case.skipped for case in cases) else EXIT_OK
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -31,7 +31,7 @@ from typing import Callable, Iterable, Iterator, Mapping, Sequence
 import numpy as np
 
 from .abelian import AbelianGroup, automorphism_chunks, rank_mod_p_batch
-from .budget import Budget, DEFAULT_BUDGET, IntegralityError
+from .budget import Budget, DEFAULT_BUDGET, IntegralityError, exact_quotient
 from .burnside import fixed_count_census
 from .glclasses import general_linear_order, gl_class_census
 from .numtheory import (
@@ -136,9 +136,7 @@ def _shape_weight(p: int, e: int, k: int, d: int) -> int:
 
 
 def _as_int(value: Fraction, what: str) -> int:
-    if value.denominator != 1:
-        raise IntegralityError(f"{what} came out non-integral: {value}")
-    return int(value)
+    return exact_quotient(value.numerator, value.denominator, what)
 
 
 def n_cyclic_prime_power(p: int, e: int, n: int) -> int:
@@ -444,8 +442,11 @@ def n_elementary_abelian(p: int, s: int, n: int, budget: Budget = DEFAULT_BUDGET
     """
     census = matrix_scan_census(p, s, n, budget)
     fixed = {tuple(p**c for c in profile): count for profile, count in census.items()}
-    value = Fraction(cycle_index_sum(fixed, n), sum(census.values()) * math.factorial(n))
-    return _as_int(value, f"count for C{p}^{s}, n={n}")
+    return exact_quotient(
+        cycle_index_sum(fixed, n),
+        sum(census.values()) * math.factorial(n),
+        f"fixed-point total for C{p}^{s}, n={n}",
+    )
 
 
 def _sylow_census(
@@ -486,8 +487,9 @@ def closed_count(group: AbelianGroup, n: int, budget: Budget = DEFAULT_BUDGET) -
     ]
     total = cheaper_census_sum(censuses, n)(censuses, n)
     aut_order = math.prod(sum(census.values()) for _, census in censuses)
-    value = Fraction(total, math.factorial(n) * aut_order)
-    return _as_int(value, f"count for {group}, n={n}")
+    return exact_quotient(
+        total, math.factorial(n) * aut_order, f"fixed-point total for {group}, n={n}"
+    )
 
 
 def formula_prime_power_n1(p: int, e: int) -> int:
@@ -549,22 +551,3 @@ def formula_squarefree_n1(primes: Iterable[int]) -> int:
             raise ValueError(f"prime {p} repeated; order must be squarefree")
         seen.append(p)
     return math.prod(p + 2 for p in seen)
-
-
-FORMULA_EVALUATORS = {
-    "prime_power_n1": formula_prime_power_n1,
-    "prime_power_n2": formula_prime_power_n2,
-    "prime_any_n": formula_prime_any_n,
-    "squarefree_n1": formula_squarefree_n1,
-}
-
-
-def formula_value(which: str, **params) -> int:
-    """Evaluate one of the named special-case formulas."""
-    try:
-        evaluator = FORMULA_EVALUATORS[which]
-    except KeyError:
-        raise ValueError(
-            f"unknown formula {which!r}; choose from {sorted(FORMULA_EVALUATORS)}"
-        ) from None
-    return evaluator(**params)

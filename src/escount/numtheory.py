@@ -219,26 +219,6 @@ def multiplicative_order(i: int, modulus: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def primitive_root(p: int, e: int) -> int:
-    """Smallest g >= 2 generating the units modulo p**s for every s <= e.
-
-    Defined for odd primes p, where one generator works at every level of
-    the tower; powers of 2 need the sign-and-power coordinates from
-    two_power_unit_decomposition instead.
-    """
-    if p == 2 or not is_prime(p):
-        raise ValueError(f"primitive_root needs an odd prime, got {p}")
-    if e < 1:
-        raise ValueError(f"exponent must be >= 1, got {e}")
-    g = 2
-    while True:
-        if all(
-            multiplicative_order(g, p**s) == euler_phi(p**s) for s in range(1, e + 1)
-        ):
-            return g
-        g += 1
-
-
 def two_power_unit_decomposition(e: int, i: int) -> tuple[int, int]:
     """Coordinates (sign, nu) of the unit i modulo 2**e, e >= 3.
 

@@ -6,7 +6,9 @@ from escount.budget import (
     ENV_VAR,
     Budget,
     BudgetExceededError,
+    IntegralityError,
     budget_from_env,
+    exact_quotient,
 )
 
 
@@ -57,3 +59,10 @@ def test_budget_from_env_malformed(monkeypatch):
         monkeypatch.setenv(ENV_VAR, raw)
         with pytest.raises(ValueError):
             budget_from_env()
+
+
+def test_exact_quotient():
+    assert exact_quotient(836 * 167, 167, "total") == 836
+    assert exact_quotient(0, 5, "total") == 0
+    with pytest.raises(IntegralityError, match="total for C2: 29 is not divisible by 5"):
+        exact_quotient(29, 5, "total for C2")

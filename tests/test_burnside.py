@@ -175,6 +175,17 @@ def test_fixed_points_naive_budget():
     assert excinfo.value.limit_name == "max_state_space"
 
 
+def test_naive_work_is_refused_before_listing():
+    """|Aut(C2^4)| = 20,160 comes from the closed form, so the refusal lists
+    no automorphism."""
+    enumerate_automorphisms.cache_clear()
+    with pytest.raises(BudgetExceededError) as excinfo:
+        fixed_point_report(parse_group("C2^4"), 2)
+    assert excinfo.value.limit_name == "max_naive_work"
+    assert excinfo.value.required == 20160 * 2 * 16**4
+    assert enumerate_automorphisms.cache_info().currsize == 0
+
+
 def test_fixed_points_by_cycles_examples():
     c2 = parse_group("C2")
     assert fixed_points_by_cycles(EndoMatrix.identity(c2), CycleType((0, 1))) == 4

@@ -1,5 +1,6 @@
 """Tests for the command-line interface: argument handling, output formats,
-and exit codes."""
+and exit codes; and for the names the package exports."""
+import ast
 import csv
 import io
 import json
@@ -10,9 +11,20 @@ from pathlib import Path
 
 import pytest
 
-from escount import cli
+import escount
+from escount import cli, verify
 
 PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"
+PIN_SCRIPT = PYPROJECT.parent / "perfbench" / "pin.py"
+
+EXPORTS = {
+    "AbelianGroup", "Budget", "BudgetExceededError", "DEFAULT_BUDGET", "EndoMatrix",
+    "GroupParseError", "IntegralityError", "abelian_groups_of_order", "act",
+    "check_reference_values", "closed_count", "cross_check", "cycle_types",
+    "enumerate_automorphisms", "euler_phi", "fixed_point_report", "fixed_points_naive",
+    "general_linear_order", "n_cyclic", "n_elementary_abelian", "orbit_count_congruence",
+    "orbit_count_naive", "orbit_enumerate", "orbit_sizes", "parse_group", "sweep",
+}
 
 
 def run_cli(argv, capsys):
@@ -126,7 +138,7 @@ def test_count_budget_exhausted_all_methods(capsys):
 
 
 def test_count_disagreement_exit_code(capsys, monkeypatch):
-    monkeypatch.setitem(cli._COUNT_METHODS, "naive", lambda group, n, budget: 999)
+    monkeypatch.setitem(verify.METHODS, "naive", lambda group, n, budget: 999)
     code, out, err = run_cli(
         ["count", "--group", "C2", "--n", "1", "--method", "all"], capsys
     )
@@ -262,3 +274,16 @@ def test_module_entry_point():
     )
     assert result.returncode == 0
     assert result.stdout.splitlines()[1].split()[:4] == ["C2", "1", "closed", "4"]
+
+
+def test_package_exports_the_documented_names():
+    assert len(escount.__all__) == len(EXPORTS) == 26
+    assert set(escount.__all__) == EXPORTS
+    assert all(hasattr(escount, name) for name in escount.__all__)
+    pinned = {
+        alias.name
+        for node in ast.parse(PIN_SCRIPT.read_text()).body
+        if isinstance(node, ast.ImportFrom) and node.module == "escount"
+        for alias in node.names
+    }
+    assert pinned and pinned <= EXPORTS

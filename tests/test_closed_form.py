@@ -12,7 +12,6 @@ from escount.abelian import parse_group, rank_mod_p
 from escount.budget import Budget, BudgetExceededError, IntegralityError
 from escount.burnside import orbit_count_congruence, orbit_count_naive
 from escount.closed_form import (
-    FORMULA_EVALUATORS,
     census_sum_by_cycle_type,
     census_sum_by_profile,
     cheaper_census_sum,
@@ -21,7 +20,6 @@ from escount.closed_form import (
     formula_prime_power_n1,
     formula_prime_power_n2,
     formula_squarefree_n1,
-    formula_value,
     enumerate_invertible_matrices,
     f_2,
     f_p,
@@ -553,20 +551,6 @@ def test_formula_squarefree_n1_errors():
         formula_squarefree_n1((4,))
     with pytest.raises(ValueError):
         formula_squarefree_n1((3, 3))
-
-
-def test_formula_value_dispatch():
-    assert set(FORMULA_EVALUATORS) == {
-        "prime_power_n1",
-        "prime_power_n2",
-        "prime_any_n",
-        "squarefree_n1",
-    }
-    assert formula_value("prime_power_n1", p=2, e=3) == 22
-    assert formula_value("prime_any_n", p=5, n=2) == 85
-    assert formula_value("squarefree_n1", primes=(2, 3)) == 20
-    with pytest.raises(ValueError):
-        formula_value("nonsense")
 
 
 def test_prime_power_count_validation():

@@ -20,7 +20,6 @@ from escount.numtheory import (
     is_prime,
     multiplicative_order,
     partition_count,
-    primitive_root,
     shape_parameters,
     two_power_unit_decomposition,
 )
@@ -149,20 +148,6 @@ def test_multiplicative_order():
                 continue
             powers = [pow(i, r, mod) for r in range(1, euler_phi(mod) + 1)]
             assert multiplicative_order(i, mod) == powers.index(1 % mod) + 1
-
-
-def test_primitive_root():
-    assert primitive_root(3, 2) == 2
-    assert primitive_root(5, 1) == 2
-    assert primitive_root(7, 2) == 3
-    for p, e in ((3, 3), (5, 2), (11, 1), (13, 1)):
-        g = primitive_root(p, e)
-        for s in range(1, e + 1):
-            assert multiplicative_order(g, p**s) == euler_phi(p**s)
-    with pytest.raises(ValueError):
-        primitive_root(2, 3)
-    with pytest.raises(ValueError):
-        primitive_root(9, 1)
 
 
 def test_two_power_unit_decomposition_examples():
