@@ -128,12 +128,13 @@ def _records(cases: list[CaseResult]) -> list[OutputRecord]:
     ]
 
 
+def _strings(counts: dict[str, int]) -> dict[str, str]:
+    """Counts as decimal strings, as every output format prints them."""
+    return {method: str(value) for method, value in counts.items()}
+
+
 def cmd_count(args, budget: Budget) -> int:
-    try:
-        group = parse_group(args.group)
-    except GroupParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE_ERROR
+    group = parse_group(args.group)
     names = list(METHOD_CHOICES[:-1]) if args.method == "all" else [args.method]
     case = cross_check(group, args.n, names, budget)
     for name, reason in case.skipped.items():
@@ -157,25 +158,10 @@ def cmd_verify(args, budget: Budget) -> int:
     if args.format == "json":
         payload = {
             "cases": [
-                {
-                    "group": c.group,
-                    "n": c.n,
-                    "values": {k: str(v) for k, v in c.values.items()},
-                    "skipped": c.skipped,
-                    "agree": c.agree,
-                    "elapsed_ms": c.elapsed_ms,
-                }
-                for c in report.cases
+                asdict(c) | {"values": _strings(c.values)} for c in report.cases
             ],
             "references": [
-                {
-                    "label": r.label,
-                    "group": r.group,
-                    "n": r.n,
-                    "expected": str(r.expected),
-                    "computed": {k: str(v) for k, v in r.computed.items()},
-                    "match": r.match,
-                }
+                asdict(r) | {"expected": str(r.expected), "computed": _strings(r.computed)}
                 for r in references
             ],
             "disagreements": len(report.disagreements),
@@ -207,11 +193,7 @@ def cmd_verify(args, budget: Budget) -> int:
 
 def cmd_table(args, budget: Budget) -> int:
     if args.groups is not None:
-        try:
-            groups = [parse_group(spec) for spec in args.groups.split(",")]
-        except GroupParseError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_PARSE_ERROR
+        groups = [parse_group(spec) for spec in args.groups.split(",")]
     else:
         groups = [
             group
@@ -234,11 +216,12 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE_ERROR
-    if args.command == "count":
-        return cmd_count(args, budget)
-    if args.command == "verify":
-        return cmd_verify(args, budget)
-    return cmd_table(args, budget)
+    command = {"count": cmd_count, "verify": cmd_verify, "table": cmd_table}[args.command]
+    try:
+        return command(args, budget)
+    except GroupParseError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_PARSE_ERROR
 
 
 if __name__ == "__main__":

@@ -4,10 +4,11 @@ closed_count splits the group into its Sylow p-subgroups G_p.  Aut(G) is
 the product of the Aut(G_p) and fixed-point counts multiply, so each
 Sylow factor contributes its own census of automorphisms, tallied by the
 exponents of their powers' fixed-point counts, listed in the cheapest way
-its kind allows: a cyclic factor from its unit-order shapes (k, d), never
-listing units; an elementary factor C_p^s from the conjugacy classes of
-GL(s, p) (glclasses), never listing matrices; any other factor by scanning
-its automorphisms, so the budget limits apply to that factor alone.  The
+its kind allows: a cyclic factor from its unit-order shapes (k, d) and
+numtheory.shape_orders, the map delta_vector inverts, never listing units;
+an elementary factor C_p^s from the conjugacy classes of GL(s, p)
+(glclasses), never listing matrices; any other factor by scanning its
+automorphisms, so the budget limits apply to that factor alone.  The
 per-prime censuses are evaluated either profile by profile through the
 shared cycle-index kernel or cycle type by cycle type, whichever is
 estimated cheaper, and the total is divided by n! * |Aut(G)| once.
@@ -15,9 +16,12 @@ estimated cheaper, and the total is divided by n! * |Aut(G)| once.
 The paper's forms stay independent of that census and serve as witnesses:
 for cyclic prime-power groups the Burnside average collapses to a sum over
 the shapes and permutation cycle types, with the shape exponent functions
-f_p and f_2 giving the power of p contributed by each cycle type, and
-n_cyclic takes a product of per-prime block sums for any cyclic group.
-n_elementary_abelian tallies the GL(s, p) census by scanning matrices.
+f_p and f_2 giving the power of p contributed by each cycle type (f_2's
+d == 1 shapes take f_p's levelled sum), and n_cyclic takes a product of
+per-prime block sums for any cyclic group.  n_cyclic_prime_power_alt
+regroups the shape sum; formula_prime_any_n, the paper's form for C_p, is
+its e == 1 case.  n_elementary_abelian tallies the GL(s, p) census by
+scanning matrices.
 """
 from __future__ import annotations
 
@@ -43,6 +47,7 @@ from .numtheory import (
     factorize,
     is_prime,
     partition_count,
+    shape_orders,
     shape_parameters,
 )
 
@@ -70,6 +75,11 @@ def f_p(lam: CycleType, p: int, e: int, k: int, d: int) -> int:
         raise ValueError(f"level k={k} out of range 1..{e}")
     if d < 1 or (p - 1) % d:
         raise ValueError(f"order d={d} must divide p - 1 = {p - 1}")
+    return _levelled_sum(lam, p, e, k, d)
+
+
+def _levelled_sum(lam: CycleType, p: int, e: int, k: int, d: int) -> int:
+    """f_p's sum without its input checks; f_2 takes it for d == 1."""
     n = lam.n
     total = 0
     for s in range(e - k):
@@ -85,7 +95,7 @@ def f_p(lam: CycleType, p: int, e: int, k: int, d: int) -> int:
 def f_2(lam: CycleType, e: int, k: int, d: int) -> int:
     """Shape exponent for powers of 2 at least 8.
 
-    The d == 1 shapes follow the same pattern as f_p; the d == 2 shapes
+    The d == 1 shapes take f_p's levelled sum at p = 2; the d == 2 shapes
     count every odd cycle length once at weight one before the levelled
     sums start.  The two parameterizations of the all-twos shape (k = e-1
     and k = e with d == 2) give identical values.
@@ -96,18 +106,9 @@ def f_2(lam: CycleType, e: int, k: int, d: int) -> int:
         raise ValueError(f"level k={k} out of range 2..{e}")
     if d not in (1, 2):
         raise ValueError(f"order d={d} must be 1 or 2")
-    n = lam.n
     if d == 1:
-        total = 0
-        for s in range(e - k):
-            step = 2**s
-            total += (k + s) * sum(
-                lam.mult(t * step) for t in range(1, n // step + 1) if t % 2
-            )
-        total += e * sum(
-            lam.mult(t * 2 ** (e - k)) for t in range(1, n // 2 ** (e - k) + 1)
-        )
-        return total
+        return _levelled_sum(lam, 2, e, k, 1)
+    n = lam.n
     if k == e:
         k = e - 1
     total = sum(lam.mult(t) for t in range(1, n + 1) if t % 2)
@@ -247,18 +248,6 @@ PrimeCensus = tuple[int, Mapping[tuple[int, ...], int]]
 TYPE_CHUNK = 64
 
 
-def _shape_orders(p: int, e: int, k: int, d: int) -> tuple[int, ...]:
-    """Order vector (delta_1, ..., delta_e) of the units of shape (k, d).
-
-    As DeltaVector describes: the order is d on the first k levels and then
-    grows by a factor p per level.  For p == 2 with e >= 3 the bottom level
-    is forced to 1, and a d == 2 shape stays at 2 through level k + 1.
-    """
-    if p == 2 and e >= 3:
-        return (1,) + tuple(max(d, 2 ** max(0, s - k)) for s in range(2, e + 1))
-    return tuple(d * p ** max(0, s - k) for s in range(1, e + 1))
-
-
 def unit_orders(p: int, e: int) -> dict[tuple[int, ...], int]:
     """Units modulo p**e tallied by order vector, built from the shapes.
 
@@ -267,7 +256,7 @@ def unit_orders(p: int, e: int) -> dict[tuple[int, ...], int]:
     _check_prime_power(p, e)
     census: dict[tuple[int, ...], int] = {}
     for k, d in shape_parameters(p, e):
-        orders = _shape_orders(p, e, k, d)
+        orders = shape_orders(p, e, k, d)
         census[orders] = census.get(orders, 0) + _shape_weight(p, e, k, d)
     return census
 
@@ -522,23 +511,11 @@ def formula_prime_power_n2(p: int, e: int) -> int:
 
 
 def formula_prime_any_n(p: int, n: int) -> int:
-    """Count for the prime-order cyclic group C_p at any tuple length."""
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
-    if n < 1:
-        raise ValueError(f"tuple length must be >= 1, got {n}")
-    types = list(cycle_types(n))
-    total = Fraction(1)
-    for d in divisors(p - 1):
-        if d > n:
-            continue
-        type_sum = sum(
-            Fraction(p ** (2 * sum(lam.mult(t * d) for t in range(1, n // d + 1))))
-            * lam.weight()
-            for lam in types
-        )
-        total += Fraction(euler_phi(d), p - 1) * (type_sum - 1)
-    return _as_int(total, f"count for C{p}, n={n}")
+    """Count for the prime-order cyclic group C_p at any tuple length.
+
+    The paper's form for C_p is the e == 1 case of the regrouped sum.
+    """
+    return n_cyclic_prime_power_alt(p, 1, n)
 
 
 def formula_squarefree_n1(primes: Iterable[int]) -> int:

@@ -1,6 +1,11 @@
 """Number-theoretic utilities: totients, divisors, permutation cycle types,
 orders in unit groups, and the classification of unit-order vectors over
 prime-power moduli that drives the closed-form counting formulas.
+
+The units modulo p**e are sorted by the shape (k, d) of their order vector.
+shape_parameters lists the shapes and shape_orders maps a shape to its
+order vector; the unit census of closed_form is built from that map, and
+delta_vector classifies a listed unit by inverting the same map.
 """
 from __future__ import annotations
 
@@ -255,44 +260,37 @@ class DeltaVector:
     shape: tuple[int, int]
 
 
-def _classify_odd(entries: tuple[int, ...], p: int, e: int) -> tuple[int, int]:
-    d = entries[0]
-    if (p - 1) % d != 0:
-        raise ValueError(f"order vector {entries} invalid modulo {p}**{e}")
-    k = 1
-    while k < e and entries[k] == d:
-        k += 1
-    for s in range(k + 1, e + 1):
-        if entries[s - 1] != p ** (s - k) * d:
-            raise ValueError(f"order vector {entries} invalid modulo {p}**{e}")
-    return (k, d)
+def shape_parameters(p: int, e: int) -> list[tuple[int, int]]:
+    """Shape parameters (k, d) in the order the counting formulas sum them.
+
+    For p == 2 with e >= 3 the list follows the formula's index ranges
+    verbatim, so the two parameterizations of the all-twos vector both
+    appear; delta_census reports that vector only under its canonical key.
+    """
+    if p != 2 or e <= 2:
+        return [(k, d) for k in range(1, e + 1) for d in divisors(p - 1)]
+    return [(k, d) for k in range(2, e + 1) for d in (1, 2)]
 
 
-def _classify_two(entries: tuple[int, ...], e: int) -> tuple[int, int]:
-    if entries[0] != 1:
-        raise ValueError(f"order vector {entries} invalid modulo 2**{e}")
-    d = entries[1]
-    if d == 1:
-        k = 1
-        while k < e and entries[k] == 1:
-            k += 1
-        tail_start = k + 1
-    elif d == 2:
-        if all(entries[s] == 2 for s in range(1, e)):
-            # The all-twos tail is shared by two parameterizations; report
-            # the canonical one with the longest flat prefix.
-            return (e, 2)
-        last_two = max(s for s in range(2, e + 1) if entries[s - 1] == 2)
-        k = last_two - 1
-        if k < 2 or any(entries[s - 1] != 2 for s in range(2, k + 1)):
-            raise ValueError(f"order vector {entries} invalid modulo 2**{e}")
-        tail_start = k + 1
-    else:
-        raise ValueError(f"order vector {entries} invalid modulo 2**{e}")
-    for s in range(tail_start, e + 1):
-        if entries[s - 1] != 2 ** (s - k):
-            raise ValueError(f"order vector {entries} invalid modulo 2**{e}")
-    return (k, d)
+def shape_orders(p: int, e: int, k: int, d: int) -> tuple[int, ...]:
+    """Order vector (delta_1, ..., delta_e) of the units of shape (k, d).
+
+    As DeltaVector describes: the order is d on the first k levels and then
+    grows by a factor p per level.  For p == 2 with e >= 3 the bottom level
+    is forced to 1, and a d == 2 shape stays at 2 through level k + 1.
+    """
+    if p == 2 and e >= 3:
+        return (1,) + tuple(max(d, 2 ** max(0, s - k)) for s in range(2, e + 1))
+    return tuple(d * p ** max(0, s - k) for s in range(1, e + 1))
+
+
+@lru_cache(maxsize=None)
+def _shape_of_orders(p: int, e: int) -> dict[tuple[int, ...], tuple[int, int]]:
+    """The inverse of shape_orders over the listed shapes of p**e."""
+    # For p == 2 with e >= 3 the all-twos vector is the image of both
+    # (e - 1, 2) and (e, 2).  shape_parameters lists (e, 2) after (e - 1, 2),
+    # so the later entry wins and the vector maps to its canonical key (e, 2).
+    return {shape_orders(p, e, k, d): (k, d) for k, d in shape_parameters(p, e)}
 
 
 def delta_vector(i: int, p: int, e: int) -> DeltaVector:
@@ -304,10 +302,9 @@ def delta_vector(i: int, p: int, e: int) -> DeltaVector:
     if i % p == 0:
         raise ValueError(f"{i} is not a unit modulo {p}")
     entries = tuple(multiplicative_order(i, p**s) for s in range(1, e + 1))
-    if p != 2 or e <= 2:
-        shape = _classify_odd(entries, p, e)
-    else:
-        shape = _classify_two(entries, e)
+    shape = _shape_of_orders(p, e).get(entries)
+    if shape is None:
+        raise ValueError(f"order vector {entries} invalid modulo {p}**{e}")
     return DeltaVector(entries, shape)
 
 
@@ -320,15 +317,3 @@ def delta_census(p: int, e: int) -> dict[tuple[int, int], int]:
         shape = delta_vector(i, p, e).shape
         census[shape] = census.get(shape, 0) + 1
     return census
-
-
-def shape_parameters(p: int, e: int) -> list[tuple[int, int]]:
-    """Shape parameters (k, d) in the order the counting formulas sum them.
-
-    For p == 2 with e >= 3 the list follows the formula's index ranges
-    verbatim, so the two parameterizations of the all-twos vector both
-    appear; delta_census reports that vector only under its canonical key.
-    """
-    if p != 2 or e <= 2:
-        return [(k, d) for k in range(1, e + 1) for d in divisors(p - 1)]
-    return [(k, d) for k in range(2, e + 1) for d in (1, 2)]

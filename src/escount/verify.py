@@ -5,7 +5,7 @@ closed_count, which multiplies per-Sylow censuses; cyclic, prime-power
 and elementary abelian groups add the paper's closed forms.
 cross_check runs all applicable methods on one case, sweep runs every
 abelian group up to an order bound, and check_reference_values recomputes
-a table of known counts from scratch.
+a table of known counts through METHODS and the paper's formulas.
 """
 from __future__ import annotations
 
@@ -159,67 +159,51 @@ def sweep(max_order: int, max_n: int, budget: Budget = DEFAULT_BUDGET) -> Verifi
     return VerificationReport(cases, disagreements)
 
 
-_PINNED_PAIR_COUNTS = (("C2", 10), ("C4", 76))
-
-_PRIME_POWER_SINGLE = (
-    (2, 1, 4),
-    (2, 2, 10),
-    (2, 3, 22),
-    (2, 4, 46),
-    (2, 5, 94),
-    (3, 1, 5),
-    (3, 2, 17),
-    (3, 3, 53),
-    (5, 1, 7),
-    (7, 1, 9),
+# One entry per family of known counts: its label, the paper's formula for
+# the family, the methods in the order they run and the keys of `computed`
+# ("formula" names the formula), and its (group spec, n, expected) cases.
+_REFERENCE_TABLE = (
+    (
+        "two-pair pinned",
+        lambda group: formula_prime_power_n2(*group.factors[0]),
+        ("naive", "congruence", "prime_power", "formula"),
+        (("C2", 2, 10), ("C4", 2, 76)),
+    ),
+    (
+        "single-pair prime power",
+        lambda group: formula_prime_power_n1(*group.factors[0]),
+        ("formula", "prime_power", "congruence"),
+        (
+            ("C2", 1, 4), ("C4", 1, 10), ("C8", 1, 22), ("C16", 1, 46), ("C32", 1, 94),
+            ("C3", 1, 5), ("C9", 1, 17), ("C27", 1, 53), ("C5", 1, 7), ("C7", 1, 9),
+        ),
+    ),
+    (
+        "single-pair squarefree",
+        lambda group: formula_squarefree_n1(p for p, _ in group.factors),
+        ("formula", "cyclic", "congruence"),
+        (("C6", 1, 20), ("C10", 1, 28), ("C15", 1, 35), ("C30", 1, 140)),
+    ),
 )
-
-_SQUAREFREE_SINGLE = ((6, 20), (10, 28), (15, 35), (30, 140))
 
 
 def check_reference_values(budget: Budget = DEFAULT_BUDGET) -> list[ReferenceRow]:
-    """Recompute a table of known counts and flag any mismatch."""
+    """Recompute a table of known counts by METHODS and the paper's formulas."""
     rows = []
-    for spec, expected in _PINNED_PAIR_COUNTS:
-        group = parse_group(spec)
-        ((p, e),) = group.factors
-        computed = {
-            "naive": orbit_count_naive(group, 2, budget),
-            "congruence": orbit_count_congruence(group, 2, budget),
-            "prime_power": n_cyclic_prime_power(p, e, 2),
-            "formula": formula_prime_power_n2(p, e),
-        }
-        rows.append(
-            ReferenceRow(
-                "two-pair pinned", spec, 2, expected, computed,
-                all(v == expected for v in computed.values()),
+    for label, formula, names, cases in _REFERENCE_TABLE:
+        for spec, n, expected in cases:
+            group = parse_group(spec)
+            computed = {
+                name: (
+                    formula(group) if name == "formula"
+                    else METHODS[name](group, n, budget)
+                )
+                for name in names
+            }
+            rows.append(
+                ReferenceRow(
+                    label, str(group), n, expected, computed,
+                    all(v == expected for v in computed.values()),
+                )
             )
-        )
-    for p, e, expected in _PRIME_POWER_SINGLE:
-        group = AbelianGroup(((p, e),))
-        computed = {
-            "formula": formula_prime_power_n1(p, e),
-            "prime_power": n_cyclic_prime_power(p, e, 1),
-            "congruence": orbit_count_congruence(group, 1, budget),
-        }
-        rows.append(
-            ReferenceRow(
-                "single-pair prime power", str(group), 1, expected, computed,
-                all(v == expected for v in computed.values()),
-            )
-        )
-    for order, expected in _SQUAREFREE_SINGLE:
-        group = parse_group(f"C{order}")
-        primes = [p for p, _ in group.factors]
-        computed = {
-            "formula": formula_squarefree_n1(primes),
-            "cyclic": n_cyclic(order, 1),
-            "congruence": orbit_count_congruence(group, 1, budget),
-        }
-        rows.append(
-            ReferenceRow(
-                "single-pair squarefree", str(group), 1, expected, computed,
-                all(v == expected for v in computed.values()),
-            )
-        )
     return rows

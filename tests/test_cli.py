@@ -2,6 +2,7 @@
 and exit codes; and for the names the package exports."""
 import ast
 import csv
+import dataclasses
 import io
 import json
 import os
@@ -164,6 +165,17 @@ def test_verify_json(capsys):
     assert payload["mismatches"] == 0
     c4_case = next(c for c in payload["cases"] if c["group"] == "C4")
     assert c4_case["values"]["prime_power"] == "10"
+    # Each object carries its record's fields in field order, counts as strings.
+    case_fields = [f.name for f in dataclasses.fields(verify.CaseResult)]
+    for case in payload["cases"]:
+        assert list(case) == case_fields
+        assert all(isinstance(v, str) for v in case["values"].values())
+    row_fields = [f.name for f in dataclasses.fields(verify.ReferenceRow)]
+    assert len(payload["references"]) == 16
+    for row in payload["references"]:
+        assert list(row) == row_fields
+        assert isinstance(row["expected"], str)
+        assert all(isinstance(v, str) for v in row["computed"].values())
 
 
 def test_verify_detects_mismatch(capsys, monkeypatch):

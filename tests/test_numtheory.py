@@ -20,6 +20,7 @@ from escount.numtheory import (
     is_prime,
     multiplicative_order,
     partition_count,
+    shape_orders,
     shape_parameters,
     two_power_unit_decomposition,
 )
@@ -248,8 +249,10 @@ def test_delta_vector_every_unit_classified():
         for i in range(1, power):
             if i % p == 0:
                 continue
-            shape = delta_vector(i, p, e).shape
+            dv = delta_vector(i, p, e)
+            shape = dv.shape
             assert shape in admissible
+            assert shape_orders(p, e, *shape) == dv.entries
             if p == 2 and e >= 3:
                 assert shape != (e - 1, 2)  # merged into the canonical (e, 2)
 

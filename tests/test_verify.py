@@ -157,3 +157,15 @@ def test_check_reference_values_rows():
     pinned = rows[("C4", 2)]
     assert pinned.expected == 76
     assert set(pinned.computed) == {"naive", "congruence", "prime_power", "formula"}
+
+
+def test_check_reference_values_runs_the_method_table(monkeypatch):
+    congruence = METHODS["congruence"]
+    monkeypatch.setitem(
+        METHODS, "congruence", lambda group, n, budget: congruence(group, n, budget) + 1
+    )
+    rows = [row for row in check_reference_values() if "congruence" in row.computed]
+    assert len(rows) == 16
+    for row in rows:
+        assert row.computed["congruence"] == row.expected + 1
+        assert not row.match
