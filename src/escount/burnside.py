@@ -7,6 +7,11 @@ positions.  Orbits are counted two independent ways -- a naive scan of the
 full configuration space and a congruence-style average of the permutation
 cycle index over automorphisms -- and can also be listed explicitly.
 
+A state is a base-m index (m = |G|) with 2n slots, slot 0 most significant:
+the positions' element indices, then their character indices.  The naive
+scan, the per-pair reference and orbit listing all walk the states in the
+blocks of _blocks and map them with _image_index.
+
 The naive scan (fixed_point_report) tests every state against every pair
 (phi, sigma).  Per batch of automorphisms and block of states it builds the
 n x n match masks M[j, t] -- the moved pair at position j equals the state's
@@ -69,8 +74,7 @@ def act(pair: ActionPair, esc: ESC) -> ESC:
     """
     auto, sigma = pair
     n = esc.n
-    if len(sigma) != n:
-        raise ValueError(f"permutation of {len(sigma)} positions applied to {n}")
+    _check_permutation(sigma, n)
     inverse = invert_automorphism(auto)
     new_elements: list = [None] * n
     new_characters: list = [None] * n
@@ -80,17 +84,17 @@ def act(pair: ActionPair, esc: ESC) -> ESC:
     return ESC(tuple(new_elements), tuple(new_characters))
 
 
+def _check_permutation(sigma: Permutation, n: int) -> None:
+    if sorted(sigma) != list(range(n)):
+        raise ValueError(f"{tuple(sigma)} is not a permutation of {n} positions")
+
+
 def _state_space_size(group: AbelianGroup, n: int) -> int:
     return group.order ** (2 * n)
 
 
-def _digit_arrays(m: int, n: int) -> tuple[np.ndarray, ...]:
-    """Digit arrays of all base-m states with 2n slots, slot 0 most significant."""
-    return np.unravel_index(np.arange(m ** (2 * n)), (m,) * (2 * n))
-
-
 # Cells of the image arrays (automorphisms x elements x rank) per batch, and
-# bytes of each temporary of the naive scan.
+# bytes of each temporary of the naive scan and of the reference's blocks.
 PROFILE_CHUNK = 1 << 20
 
 
@@ -117,46 +121,50 @@ def _automorphism_images(
         yield from zip(elem_images, char_images)
 
 
-def _gather(
-    digits: tuple[np.ndarray, ...], elem_images: np.ndarray, char_images: np.ndarray
-) -> list[np.ndarray]:
-    """Every state's (element, character) pair at each position, moved by
-    one automorphism and packed as element * m**n + character."""
-    n = len(digits) // 2
-    shift = len(elem_images) ** n
-    return [elem_images[digits[j]] * shift + char_images[digits[n + j]] for j in range(n)]
+def _blocks(m: int, width: int, free: int) -> Iterator[tuple[int, list[np.ndarray]]]:
+    """The base-m states with `width` slots, m**free at a time: yields a
+    block's first state index and one digit array per slot.  The leading
+    width - free slots hold the block's fixed digits and free slot i runs on
+    axis i, so the slots broadcast to the block's states in index order."""
+    axes = np.ix_(*[np.arange(m)] * free)
+    for number, lead in enumerate(itertools.product(range(m), repeat=width - free)):
+        yield number * m**free, [np.full((1,) * free, d) for d in lead] + list(axes)
 
 
-def _state_image(gathered: list[np.ndarray], sigma: Permutation, m: int) -> np.ndarray:
-    """Index of every state's image under one action pair.
+def _image_index(
+    m: int,
+    slots: list[np.ndarray],
+    elem_images: np.ndarray,
+    char_images: np.ndarray,
+    sigma: Permutation,
+) -> np.ndarray:
+    """Index of every state of a block under one action pair, in index order.
 
-    `gathered` holds the packed pairs already moved by the automorphism, and
-    sigma sends the pair at position j to position sigma[j].  In base m, a
-    state index is the element digits followed by the character digits,
-    which is the packed pairs read as base-m digits in position order.
+    Position j's element, moved by the automorphism, lands in slot sigma(j)
+    and its moved character in slot n + sigma(j).
     """
-    source = [0] * len(sigma)
-    for j, target in enumerate(sigma):
-        source[target] = j
-    image = gathered[source[0]].copy()
-    for j in source[1:]:
-        image *= m
-        image += gathered[j]
-    return image
+    n = len(sigma)
+    index = np.zeros(np.broadcast_shapes(*(s.shape for s in slots)), dtype=np.int64)
+    for j, t in enumerate(sigma):
+        index += elem_images[slots[j]] * m ** (2 * n - 1 - t)
+        index += char_images[slots[n + j]] * m ** (n - 1 - t)
+    return index.ravel()
 
 
 def fixed_points_naive(pair: ActionPair, budget: Budget = DEFAULT_BUDGET) -> int:
-    """Count configurations fixed by one action pair, by scanning all of them."""
+    """Count configurations fixed by one action pair, by scanning all of
+    them block by block for states whose image index is their own."""
     auto, sigma = pair
-    group = auto.group
-    n = len(sigma)
-    size = _state_space_size(group, n)
-    budget.check("max_state_space", size)
-    digits = _digit_arrays(group.order, n)
+    group, n = auto.group, len(sigma)
+    _check_permutation(sigma, n)
+    budget.check("max_state_space", _state_space_size(group, n))
     matrix = np.array(auto.rows, dtype=np.int64).reshape(1, group.rank, group.rank)
-    gathered = _gather(digits, *next(_automorphism_images(group, matrix)))
-    image = _state_image(gathered, sigma, group.order)
-    return int(np.count_nonzero(image == np.arange(size)))
+    images = next(_automorphism_images(group, matrix))
+    fixed = 0
+    for first, slots in _blocks(group.order, 2 * n, _scan_plan(group, n, 1, 1)[0]):
+        image = _image_index(group.order, slots, *images, sigma)
+        fixed += int(np.count_nonzero(image == np.arange(first, first + len(image))))
+    return fixed
 
 
 def fixed_points_by_cycles(
@@ -272,20 +280,14 @@ def _fixed_counts(
     """Fixed states of every pair (matrices[a], sigmas[i]), by automorphism
     batch: yields (first index of the batch, its (k, len(sigmas)) counts).
 
-    State slot s (elements in slots 0..n-1, characters in n..2n-1) reads
-    `slots[s]`, a digit broadcast on that slot's grid axis within the
-    block.  M[j, t] = [phi(e_j) = e_t] and [chi_j o phi^-1 = chi_t] is then
-    two small comparisons broadcast over the block, packed into words; a
-    pass ANDs, for each position j, the masks M[j, sigma(j)] of all its
-    permutations, and counts the set bits.
+    Within a block of _blocks, M[j, t] = [phi(e_j) = e_t] and
+    [chi_j o phi^-1 = chi_t] is two small comparisons broadcast over the
+    block's slots, packed into words; a pass ANDs, for each position j, the
+    masks M[j, sigma(j)] of all its permutations, and counts the set bits.
     """
     m = group.order
     n = sigmas.shape[1]
     free, batch, per_pass = _scan_plan(group, n, len(matrices), len(sigmas))
-    lead = 2 * n - free
-    free_slots = [
-        np.arange(m).reshape((1,) * i + (m,) + (1,) * (free - 1 - i)) for i in range(free)
-    ]
     nbytes = -(-(m**free) // 8)
     for lo, (elem_images, char_images) in zip(
         range(0, len(matrices), batch), _image_batches(group, matrices, batch)
@@ -296,8 +298,7 @@ def _fixed_counts(
         packed = np.zeros((n, n, k, 8 * _words(m**free)), dtype=np.uint8)
         masks = packed.view(np.uint64)
         bits = np.empty((k,) + (m,) * free, dtype=bool)
-        for block in itertools.product(range(m), repeat=lead):
-            slots = [np.full((1,) * free, d) for d in block] + free_slots
+        for _, slots in _blocks(m, 2 * n, free):
             moved = [elem_images[:, slots[j]] for j in range(n)]
             moved += [char_images[:, slots[n + j]] for j in range(n)]
             for j in range(n):
@@ -470,14 +471,11 @@ def _orbit_labels(group: AbelianGroup, n: int, budget: Budget) -> np.ndarray:
     budget.check("max_state_space", size)
     matrices = enumerate_automorphisms(group, budget).matrices
     m = group.order
-    digits = _digit_arrays(m, n)
-    identity = identity_permutation(n)
-    image_maps = [
-        _state_image(_gather(digits, *images), identity, m)
-        for images in _generator_images(group, matrices)
-    ]
-    unmoved = _gather(digits, np.arange(m), np.arange(m))
-    image_maps += [_state_image(unmoved, sigma, m) for sigma in _sigma_generators(n)]
+    _, slots = next(_blocks(m, 2 * n, 2 * n))
+    identity, unmoved = identity_permutation(n), np.arange(m)
+    moves = [(*images, identity) for images in _generator_images(group, matrices)]
+    moves += [(unmoved, unmoved, sigma) for sigma in _sigma_generators(n)]
+    image_maps = [_image_index(m, slots, *move) for move in moves]
     labels = np.arange(size, dtype=np.int64)
     while True:
         previous = labels

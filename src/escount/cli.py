@@ -12,7 +12,7 @@ import argparse
 import csv
 import json
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, astuple, dataclass, fields
 
 from .abelian import GroupParseError, parse_group
 from .budget import Budget, budget_from_env
@@ -46,21 +46,20 @@ class OutputRecord:
     elapsed_ms: int
 
 
+_FIELDS = tuple(field.name for field in fields(OutputRecord))
+
+
 def _emit_text(records: list[OutputRecord], out) -> None:
-    headers = ("group", "n", "method", "count", "elapsed_ms")
-    table = [headers] + [
-        (r.group, str(r.n), r.method, r.count, str(r.elapsed_ms)) for r in records
-    ]
-    widths = [max(len(row[col]) for row in table) for col in range(len(headers))]
+    table = [_FIELDS] + [tuple(map(str, astuple(r))) for r in records]
+    widths = [max(len(row[col]) for row in table) for col in range(len(_FIELDS))]
     for row in table:
         print("  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip(), file=out)
 
 
 def _emit_csv(records: list[OutputRecord], out) -> None:
     writer = csv.writer(out)
-    writer.writerow(["group", "n", "method", "count", "elapsed_ms"])
-    for r in records:
-        writer.writerow([r.group, r.n, r.method, r.count, r.elapsed_ms])
+    writer.writerow(_FIELDS)
+    writer.writerows(map(astuple, records))
 
 
 def _emit_json(records: list[OutputRecord], out) -> None:

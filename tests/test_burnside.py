@@ -125,6 +125,17 @@ def test_act_rejects_length_mismatch():
         act((EndoMatrix.identity(c2), (0, 1)), ESC(((0,),), ((0,),)))
 
 
+def test_act_and_naive_reference_reject_a_non_permutation():
+    c3 = parse_group("C3")
+    doubling = EndoMatrix(c3, ((2,),))
+    esc = ESC(((1,), (2,)), ((0,), (1,)))
+    for sigma in ((0, 0), (0, 2)):
+        with pytest.raises(ValueError, match="not a permutation"):
+            act((doubling, sigma), esc)
+        with pytest.raises(ValueError, match="not a permutation"):
+            fixed_points_naive((doubling, sigma))
+
+
 @pytest.mark.parametrize("spec", ["C1", "C2", "C3", "C4", "C5", "C2^2", "C6", "C8"])
 @pytest.mark.parametrize("n", [1, 2])
 def test_act_is_compatible_with_composition(spec, n):
@@ -295,19 +306,26 @@ def test_counting_paths_build_no_endo_matrix(monkeypatch):
 @pytest.mark.parametrize("spec,n", [("C2^3", 1), ("C2^3", 2), ("C2xC4", 1), ("C4xC4", 1)])
 def test_naive_and_orbit_listing_do_not_depend_on_batch_size(monkeypatch, spec, n):
     group = parse_group(spec)
-    expected = (
-        orbit_count_naive(group, n),
-        orbit_enumerate(group, n),
-        orbit_sizes(group, n),
-    )
-    assert expected[0] == orbit_count_congruence(group, n)
-    for chunk in (1, 7):
-        monkeypatch.setattr(burnside, "PROFILE_CHUNK", chunk)
-        assert (
+    last = enumerate_automorphisms(group)[-1]
+
+    def naive_results():
+        per_pair = [fixed_points_naive((last, sigma)) for sigma in permutations_of(n)]
+        return (
             orbit_count_naive(group, n),
             orbit_enumerate(group, n),
             orbit_sizes(group, n),
-        ) == expected, chunk
+            per_pair,
+        )
+
+    expected = naive_results()
+    assert expected[0] == orbit_count_congruence(group, n)
+    assert expected[3] == [
+        fixed_points_by_cycles(last, CycleType.from_permutation(sigma))
+        for sigma in permutations_of(n)
+    ]
+    for chunk in (1, 7):
+        monkeypatch.setattr(burnside, "PROFILE_CHUNK", chunk)
+        assert naive_results() == expected, chunk
 
 
 def test_orbit_count_naive_matches_oracle():
@@ -415,6 +433,36 @@ def test_fixed_point_report_memory_is_bounded_by_the_chunk(monkeypatch):
         tracemalloc.stop()
     assert report.orbit_count == 1996
     assert peak < 128 * 1024, peak
+
+    # The per-pair reference walks the same blocks under the same chunk.
+    pair = (enumerate_automorphisms(group)[-1], (1, 2, 3, 0))
+    expected = fixed_points_by_cycles(pair[0], CycleType.from_permutation(pair[1]))
+    tracemalloc.start()
+    try:
+        fixed = fixed_points_naive(pair)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert fixed == expected
+    assert peak < 128 * 1024, peak
+
+
+@pytest.mark.parametrize("spec", ["C4", "C2^2"])
+def test_orbit_listing_memory_per_state(spec):
+    """Orbit listing holds the labels and one image map per generator, each
+    8 bytes per state, and no digit arrays over the state space."""
+    group = parse_group(spec)
+    enumerate_automorphisms(group)
+    states = group.order**8
+    tracemalloc.start()
+    try:
+        sizes = orbit_sizes(group, 4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sum(sizes) == states
+    assert len(sizes) == orbit_count_congruence(group, 4)
+    assert peak < 96 * states, peak / states
 
 
 def test_orbit_enumerate_smallest_cases():
