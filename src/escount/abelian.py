@@ -137,14 +137,10 @@ def parse_group(text: str) -> AbelianGroup:
     return AbelianGroup(tuple(sorted(factors)))
 
 
-def elements(group: AbelianGroup) -> Iterator[GroupElement]:
-    """All exponent tuples of the group in lexicographic order."""
-    return itertools.product(*(range(m) for m in group.moduli))
-
-
 @lru_cache(maxsize=None)
 def element_list(group: AbelianGroup) -> tuple[GroupElement, ...]:
-    return tuple(elements(group))
+    """All exponent tuples of the group in lexicographic order."""
+    return tuple(itertools.product(*(range(m) for m in group.moduli)))
 
 
 @lru_cache(maxsize=None)

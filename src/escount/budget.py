@@ -81,16 +81,16 @@ class Budget:
 DEFAULT_BUDGET = Budget()
 
 
-def budget_from_env(base: Budget | None = None) -> Budget:
-    """Return `base` with max_state_space overridden by ESC_BUDGET, if set."""
-    budget = base if base is not None else DEFAULT_BUDGET
+def budget_from_env() -> Budget:
+    """Return DEFAULT_BUDGET with max_state_space overridden by ESC_BUDGET,
+    if set."""
     raw = os.environ.get(ENV_VAR)
     if raw is None:
-        return budget
+        return DEFAULT_BUDGET
     try:
         cap = int(raw)
     except ValueError as exc:
         raise ValueError(f"{ENV_VAR} must be an integer, got {raw!r}") from exc
     if cap <= 0:
         raise ValueError(f"{ENV_VAR} must be positive, got {cap}")
-    return replace(budget, max_state_space=cap)
+    return replace(DEFAULT_BUDGET, max_state_space=cap)

@@ -84,6 +84,11 @@ def act(pair: ActionPair, esc: ESC) -> ESC:
     return ESC(tuple(new_elements), tuple(new_characters))
 
 
+def _check_tuple_length(n: int) -> None:
+    if n < 1:
+        raise ValueError(f"tuple length must be >= 1, got {n}")
+
+
 def _check_permutation(sigma: Permutation, n: int) -> None:
     if sorted(sigma) != list(range(n)):
         raise ValueError(f"{tuple(sigma)} is not a permutation of {n} positions")
@@ -110,15 +115,6 @@ def _image_batches(
     for lo in range(0, len(matrices), batch):
         mats = matrices[lo : lo + batch]
         yield element_images(group, mats), character_images(group, mats)
-
-
-def _automorphism_images(
-    group: AbelianGroup, matrices: np.ndarray
-) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Element and character index images of each automorphism of a
-    (k, s, s) stack in turn, built in batches of PROFILE_CHUNK image cells."""
-    for elem_images, char_images in _image_batches(group, matrices, _batch_size(group)):
-        yield from zip(elem_images, char_images)
 
 
 def _blocks(m: int, width: int, free: int) -> Iterator[tuple[int, list[np.ndarray]]]:
@@ -156,10 +152,11 @@ def fixed_points_naive(pair: ActionPair, budget: Budget = DEFAULT_BUDGET) -> int
     them block by block for states whose image index is their own."""
     auto, sigma = pair
     group, n = auto.group, len(sigma)
+    _check_tuple_length(n)
     _check_permutation(sigma, n)
     budget.check("max_state_space", _state_space_size(group, n))
     matrix = np.array(auto.rows, dtype=np.int64).reshape(1, group.rank, group.rank)
-    images = next(_automorphism_images(group, matrix))
+    images = element_images(group, matrix)[0], character_images(group, matrix)[0]
     fixed = 0
     for first, slots in _blocks(group.order, 2 * n, _scan_plan(group, n, 1, 1)[0]):
         image = _image_index(group.order, slots, *images, sigma)
@@ -325,8 +322,7 @@ def fixed_point_report(
     naive work limit takes |Aut(G)| from automorphism_count, so an
     oversized scan is refused before any automorphism is listed.
     """
-    if n < 1:
-        raise ValueError(f"tuple length must be >= 1, got {n}")
+    _check_tuple_length(n)
     size = _state_space_size(group, n)
     budget.check("max_state_space", size)
     budget.check("max_naive_work", automorphism_count(group) * math.factorial(n) * size)
@@ -389,8 +385,7 @@ def fixed_count_census(
     automorphisms are scanned and profiled PROFILE_CHUNK image cells at a
     time.
     """
-    if n < 1:
-        raise ValueError(f"tuple length must be >= 1, got {n}")
+    _check_tuple_length(n)
     matrices = enumerate_automorphisms(group, budget).matrices
     chunk = _batch_size(group)
     census: Counter = Counter()
@@ -433,22 +428,23 @@ def _generator_images(
     generated = {identity.tobytes()}
     members = [identity]
     generators: list[tuple[np.ndarray, np.ndarray]] = []
-    for elem_images, char_images in _automorphism_images(group, matrices):
-        if len(generated) == len(matrices):
-            break
-        if elem_images.tobytes() in generated:
-            continue
-        generators.append((elem_images, char_images))
-        frontier = np.array(members)
-        while len(frontier):
-            fresh = []
-            for row in np.concatenate([g[frontier] for g, _ in generators]):
-                key = row.tobytes()
-                if key not in generated:
-                    generated.add(key)
-                    fresh.append(row)
-            members += fresh
-            frontier = np.array(fresh, dtype=np.int64).reshape(-1, group.order)
+    for batch in _image_batches(group, matrices, _batch_size(group)):
+        for elem_images, char_images in zip(*batch):
+            if len(generated) == len(matrices):
+                return generators
+            if elem_images.tobytes() in generated:
+                continue
+            generators.append((elem_images, char_images))
+            frontier = np.array(members)
+            while len(frontier):
+                fresh = []
+                for row in np.concatenate([g[frontier] for g, _ in generators]):
+                    key = row.tobytes()
+                    if key not in generated:
+                        generated.add(key)
+                        fresh.append(row)
+                members += fresh
+                frontier = np.array(fresh, dtype=np.int64).reshape(-1, group.order)
     return generators
 
 
@@ -467,6 +463,7 @@ def _orbit_labels(group: AbelianGroup, n: int, budget: Budget) -> np.ndarray:
     image map, the smaller of a state's label and its image's label, then
     jumps every label to its label's label, until nothing changes.
     """
+    _check_tuple_length(n)
     size = _state_space_size(group, n)
     budget.check("max_state_space", size)
     matrices = enumerate_automorphisms(group, budget).matrices

@@ -18,10 +18,10 @@ for cyclic prime-power groups the Burnside average collapses to a sum over
 the shapes and permutation cycle types, with the shape exponent functions
 f_p and f_2 giving the power of p contributed by each cycle type (f_2's
 d == 1 shapes take f_p's levelled sum), and n_cyclic takes a product of
-per-prime block sums for any cyclic group.  n_cyclic_prime_power_alt
-regroups the shape sum; formula_prime_any_n, the paper's form for C_p, is
-its e == 1 case.  n_elementary_abelian tallies the GL(s, p) census by
-scanning matrices.
+per-prime block sums for any cyclic group, so n_cyclic_prime_power is its
+single-prime case.  n_cyclic_prime_power_alt regroups the shape sum;
+formula_prime_any_n, the paper's form for C_p, is its e == 1 case.
+n_elementary_abelian tallies the GL(s, p) census by scanning matrices.
 """
 from __future__ import annotations
 
@@ -141,20 +141,10 @@ def _as_int(value: Fraction, what: str) -> int:
 
 
 def n_cyclic_prime_power(p: int, e: int, n: int) -> int:
-    """Orbit count for the cyclic group of order p**e, via the shape sum."""
+    """Orbit count for the cyclic group of order p**e, via the shape sum:
+    n_cyclic's single-prime case."""
     _check_prime_power(p, e)
-    if n < 1:
-        raise ValueError(f"tuple length must be >= 1, got {n}")
-    types = list(cycle_types(n))
-    unit_count = euler_phi(p**e)
-    total = Fraction(0)
-    for k, d in shape_parameters(p, e):
-        type_sum = sum(
-            Fraction(p ** (2 * _shape_exponent(lam, p, e, k, d))) * lam.weight()
-            for lam in types
-        )
-        total += Fraction(_shape_weight(p, e, k, d), unit_count) * type_sum
-    return _as_int(total, f"count for C{p**e}, n={n}")
+    return n_cyclic(p**e, n)
 
 
 def n_cyclic_prime_power_alt(p: int, e: int, n: int) -> int:

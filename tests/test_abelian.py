@@ -26,7 +26,6 @@ from escount.abelian import (
     element_index,
     element_list,
     element_permutation,
-    elements,
     enumerate_automorphisms,
     invert_automorphism,
     pairing_exponent,
@@ -104,11 +103,11 @@ def test_group_properties():
 
 
 def test_elements_and_characters():
-    assert list(elements(parse_group("C1"))) == [()]
-    assert list(elements(parse_group("C2"))) == [(0,), (1,)]
-    assert list(elements(parse_group("C2^2"))) == [(0, 0), (0, 1), (1, 0), (1, 1)]
+    assert element_list(parse_group("C1")) == ((),)
+    assert element_list(parse_group("C2")) == ((0,), (1,))
+    assert element_list(parse_group("C2^2")) == ((0, 0), (0, 1), (1, 0), (1, 1))
     g12 = parse_group("C12")
-    assert len(list(elements(g12))) == 12
+    assert len(element_list(g12)) == 12
 
 
 def test_pairing_exponent_bilinear():

@@ -50,8 +50,6 @@ def test_budget_from_env_override(monkeypatch):
     budget = budget_from_env()
     assert budget.max_state_space == 1024
     assert budget.max_group_order == DEFAULT_BUDGET.max_group_order
-    base = Budget(max_group_order=8)
-    assert budget_from_env(base) == Budget(max_group_order=8, max_state_space=1024)
 
 
 def test_budget_from_env_malformed(monkeypatch):

@@ -178,6 +178,21 @@ def test_fixed_points_naive_examples():
     assert fixed_points_naive((EndoMatrix(c4, ((3,),)), (0,))) == 4
 
 
+@pytest.mark.parametrize("n", [0, -1])
+def test_naive_paths_reject_a_tuple_length_below_one(n):
+    c2 = parse_group("C2")
+    calls = [
+        lambda: fixed_point_report(c2, n),
+        lambda: orbit_enumerate(c2, n),
+        lambda: orbit_sizes(c2, n),
+    ]
+    if n == 0:
+        calls.append(lambda: fixed_points_naive((EndoMatrix.identity(c2), ())))
+    for call in calls:
+        with pytest.raises(ValueError, match=f"tuple length must be >= 1, got {n}"):
+            call()
+
+
 def test_fixed_points_naive_budget():
     c2 = parse_group("C2")
     pair = (EndoMatrix.identity(c2), identity_permutation(9))

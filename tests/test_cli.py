@@ -164,7 +164,7 @@ def test_verify_json(capsys):
     assert len(payload["cases"]) == 7
     assert payload["mismatches"] == 0
     c4_case = next(c for c in payload["cases"] if c["group"] == "C4")
-    assert c4_case["values"]["prime_power"] == "10"
+    assert c4_case["values"]["cyclic"] == "10"
     # Each object carries its record's fields in field order, counts as strings.
     case_fields = [f.name for f in dataclasses.fields(verify.CaseResult)]
     for case in payload["cases"]:

@@ -156,12 +156,6 @@ def test_n_cyclic_golden():
     assert n_cyclic(15, 1) == 35
 
 
-def test_n_cyclic_matches_prime_power_blocks():
-    for p, e in ((2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (5, 1), (7, 1)):
-        for n in (1, 2, 3):
-            assert n_cyclic(p**e, n) == n_cyclic_prime_power(p, e, n)
-
-
 def test_n_cyclic_matches_naive_composite():
     assert n_cyclic(6, 2) == orbit_count_naive(parse_group("C6"), 2)
     assert n_cyclic(10, 1) == orbit_count_naive(parse_group("C10"), 1)

@@ -30,7 +30,6 @@ def test_applicable_methods():
         "naive",
         "congruence",
         "cyclic",
-        "prime_power",
         "elementary",
         "closed",
     ]
@@ -38,7 +37,6 @@ def test_applicable_methods():
         "naive",
         "congruence",
         "cyclic",
-        "prime_power",
         "elementary",
         "closed",
     ]
@@ -46,7 +44,6 @@ def test_applicable_methods():
         "naive",
         "congruence",
         "cyclic",
-        "prime_power",
         "closed",
     ]
     assert applicable_methods(parse_group("C6")) == [
@@ -98,8 +95,8 @@ def test_cross_check_all_skipped_is_vacuously_ok():
 
 
 def test_cross_check_method_subset():
-    case = cross_check(parse_group("C4"), 2, methods=["congruence", "prime_power"])
-    assert set(case.values) == {"congruence", "prime_power"}
+    case = cross_check(parse_group("C4"), 2, methods=["congruence", "cyclic"])
+    assert set(case.values) == {"congruence", "cyclic"}
     assert set(case.values.values()) == {76}
     with pytest.raises(ValueError):
         cross_check(parse_group("C4"), 1, methods=["nonsense"])
@@ -123,8 +120,8 @@ def test_sweep_respects_budget():
     assert [case.group for case in naive_skips] == ["C5"]
     for case in report.cases:
         if case.group == "C5":
-            assert "prime_power" in case.values
-            assert case.values["prime_power"] == 7
+            assert "cyclic" in case.values
+            assert case.values["cyclic"] == 7
 
 
 def test_sweep_validation():
@@ -156,7 +153,7 @@ def test_check_reference_values_rows():
     assert squarefree.computed["formula"] == 140
     pinned = rows[("C4", 2)]
     assert pinned.expected == 76
-    assert set(pinned.computed) == {"naive", "congruence", "prime_power", "formula"}
+    assert set(pinned.computed) == {"naive", "congruence", "cyclic", "formula"}
 
 
 def test_check_reference_values_runs_the_method_table(monkeypatch):
