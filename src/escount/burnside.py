@@ -8,15 +8,17 @@ full configuration space and a congruence-style average of the permutation
 cycle index over automorphisms -- and can also be listed explicitly.
 
 A state is a base-m index (m = |G|) with 2n slots, slot 0 most significant:
-the positions' element indices, then their character indices.  The naive
-scan, the per-pair reference and orbit listing all walk the states in the
-blocks of _blocks and map them with _image_index.
+the positions' element indices, then their character indices.  The per-pair
+reference and orbit listing walk the states in the blocks of _blocks and map
+them with _image_index.
 
-The naive scan (fixed_point_report) tests every state against every pair
-(phi, sigma).  Per batch of automorphisms and block of states it builds the
-n x n match masks M[j, t] -- the moved pair at position j equals the state's
-pair at position t -- packed into 64-bit words; then for a whole batch of
-permutations the fixed states of (phi, sigma) are the set bits of
+The naive scan (fixed_point_report) uses that a pair (phi, sigma) moves
+elements and characters apart: it fixes a state exactly when it fixes the
+state's element n-tuple and its character n-tuple, so it fixes E * C states.
+Each half is scanned over its m**n tuples in the blocks of _blocks.  Per
+batch of automorphisms and block it builds the n x n match masks
+M[j, t] = [phi(x_j) = x_t], packed into 64-bit words; for a whole batch of
+permutations the fixed tuples of (phi, sigma) are the set bits of
 AND_j M[j, sigma(j)].  Every temporary stays within about PROFILE_CHUNK
 bytes (int64 image cells for the image arrays), whatever the budget.
 """
@@ -45,7 +47,7 @@ from .abelian import (
     pullback_character,
 )
 from .budget import Budget, DEFAULT_BUDGET, IntegralityError, exact_quotient
-from .numtheory import CycleType, cycle_index_sum
+from .numtheory import CycleType, cycle_index_sum, partition_count
 
 Permutation = tuple[int, ...]
 ActionPair = tuple[EndoMatrix, Permutation]
@@ -92,10 +94,6 @@ def _check_tuple_length(n: int) -> None:
 def _check_permutation(sigma: Permutation, n: int) -> None:
     if sorted(sigma) != list(range(n)):
         raise ValueError(f"{tuple(sigma)} is not a permutation of {n} positions")
-
-
-def _state_space_size(group: AbelianGroup, n: int) -> int:
-    return group.order ** (2 * n)
 
 
 # Cells of the image arrays (automorphisms x elements x rank) per batch, and
@@ -148,18 +146,19 @@ def _image_index(
 
 
 def fixed_points_naive(pair: ActionPair, budget: Budget = DEFAULT_BUDGET) -> int:
-    """Count configurations fixed by one action pair, by scanning all of
-    them block by block for states whose image index is their own."""
+    """Count configurations fixed by one action pair: the states whose image
+    index is their own, in blocks of at most PROFILE_CHUNK // 8 states."""
     auto, sigma = pair
     group, n = auto.group, len(sigma)
     _check_tuple_length(n)
     _check_permutation(sigma, n)
-    budget.check("max_state_space", _state_space_size(group, n))
+    budget.check("max_state_space", group.order ** (2 * n))
     matrix = np.array(auto.rows, dtype=np.int64).reshape(1, group.rank, group.rank)
     images = element_images(group, matrix)[0], character_images(group, matrix)[0]
-    fixed = 0
-    for first, slots in _blocks(group.order, 2 * n, _scan_plan(group, n, 1, 1)[0]):
-        image = _image_index(group.order, slots, *images, sigma)
+    fixed, m = 0, group.order
+    free = max(f for f in range(2 * n + 1) if m**f <= max(64, PROFILE_CHUNK // 8))
+    for first, slots in _blocks(m, 2 * n, free):
+        image = _image_index(m, slots, *images, sigma)
         fixed += int(np.count_nonzero(image == np.arange(first, first + len(image))))
     return fixed
 
@@ -247,9 +246,9 @@ def _words(states: int) -> int:
 def _scan_plan(
     group: AbelianGroup, n: int, n_autos: int, n_sigmas: int
 ) -> tuple[int, int, int]:
-    """Sizes for the naive scan: (free digits, batch, per_pass).
+    """Sizes for the naive scan of one half: (free digits, batch, per_pass).
 
-    A block of states fixes the leading 2n - free digits and runs over the
+    A block of n-tuples fixes the leading n - free digits and runs over the
     last `free`; it is at least one mask word, and otherwise small enough
     that its n x n packed masks and its boolean mask fit in PROFILE_CHUNK
     bytes.  `batch` automorphisms share one pass over a block, and
@@ -263,7 +262,7 @@ def _scan_plan(
         states = m**f
         return states <= 64 or max(8 * n * n * _words(states), states) <= PROFILE_CHUNK
 
-    free = max(f for f in range(2 * n + 1) if fits(f))
+    free = max(f for f in range(n + 1) if fits(f))
     words = _words(m**free)
     per_auto = max(8 * n * n * words, m**free, m * m, 8 * n_sigmas)
     batch = max(1, min(n_autos, _batch_size(group), PROFILE_CHUNK // per_auto))
@@ -272,43 +271,33 @@ def _scan_plan(
 
 
 def _fixed_counts(
-    group: AbelianGroup, matrices: np.ndarray, sigmas: np.ndarray
-) -> Iterator[tuple[int, np.ndarray]]:
-    """Fixed states of every pair (matrices[a], sigmas[i]), by automorphism
-    batch: yields (first index of the batch, its (k, len(sigmas)) counts).
-
-    Within a block of _blocks, M[j, t] = [phi(e_j) = e_t] and
-    [chi_j o phi^-1 = chi_t] is two small comparisons broadcast over the
-    block's slots, packed into words; a pass ANDs, for each position j, the
-    masks M[j, sigma(j)] of all its permutations, and counts the set bits.
+    images: np.ndarray, sigmas: np.ndarray, free: int, per_pass: int
+) -> np.ndarray:
+    """Fixed n-tuples of every pair (images[a], sigmas[i]), as a
+    (len(images), len(sigmas)) table, by the packed scan of the module
+    docstring; images holds one automorphism's index map on elements, or on
+    characters, per row.
     """
-    m = group.order
-    n = sigmas.shape[1]
-    free, batch, per_pass = _scan_plan(group, n, len(matrices), len(sigmas))
+    (k, m), n = images.shape, sigmas.shape[1]
+    fixed = np.zeros((k, len(sigmas)), dtype=np.int64)
     nbytes = -(-(m**free) // 8)
-    for lo, (elem_images, char_images) in zip(
-        range(0, len(matrices), batch), _image_batches(group, matrices, batch)
-    ):
-        k = len(elem_images)
-        fixed = np.zeros((k, len(sigmas)), dtype=np.int64)
-        # Bytes past nbytes stay 0, so padding bits never count as fixed.
-        packed = np.zeros((n, n, k, 8 * _words(m**free)), dtype=np.uint8)
-        masks = packed.view(np.uint64)
-        bits = np.empty((k,) + (m,) * free, dtype=bool)
-        for _, slots in _blocks(m, 2 * n, free):
-            moved = [elem_images[:, slots[j]] for j in range(n)]
-            moved += [char_images[:, slots[n + j]] for j in range(n)]
-            for j in range(n):
-                for t in range(n):
-                    np.logical_and(moved[j] == slots[t], moved[n + j] == slots[n + t], out=bits)
-                    packed[j, t, :, :nbytes] = np.packbits(bits.reshape(k, -1), axis=1)
-            for s in range(0, len(sigmas), per_pass):
-                rows = sigmas[s : s + per_pass]
-                common = masks[0][rows[:, 0]]
-                for j in range(1, n):
-                    common &= masks[j][rows[:, j]]
-                fixed[:, s : s + per_pass] += popcount(common).T
-        yield lo, fixed
+    # Bytes past nbytes stay 0, so padding bits never count as fixed.
+    packed = np.zeros((n, n, k, 8 * _words(m**free)), dtype=np.uint8)
+    masks = packed.view(np.uint64)
+    bits = np.empty((k,) + (m,) * free, dtype=bool)
+    for _, slots in _blocks(m, n, free):
+        for j in range(n):
+            moved = images[:, slots[j]]
+            for t in range(n):
+                np.equal(moved, slots[t], out=bits)
+                packed[j, t, :, :nbytes] = np.packbits(bits.reshape(k, -1), axis=1)
+        for s in range(0, len(sigmas), per_pass):
+            rows = sigmas[s : s + per_pass]
+            common = masks[0][rows[:, 0]]
+            for j in range(1, n):
+                common &= masks[j][rows[:, j]]
+            fixed[:, s : s + per_pass] += popcount(common).T
+    return fixed
 
 
 def fixed_point_report(
@@ -316,36 +305,46 @@ def fixed_point_report(
 ) -> FixedPointReport:
     """Scan every action pair naively and average the fixed-point counts.
 
-    Every state is tested against every pair (phi, sigma), permutations
-    PROFILE_CHUNK // (8n) at a time in permutations_of order.  Counts must
-    agree within each cycle type, and their total must divide exactly.  The
-    naive work limit takes |Aut(G)| from automorphism_count, so an
-    oversized scan is refused before any automorphism is listed.
+    A pair's count is the product of its two halves' _fixed_counts, over
+    automorphism batches and permutations PROFILE_CHUNK // (8n) at a time in
+    permutations_of order.  Counts must agree within each cycle type, across
+    permutation chunks too, and their total must divide exactly.  The naive
+    work limit takes |Aut(G)| from automorphism_count, so an oversized scan
+    is refused before any automorphism is listed.
     """
     _check_tuple_length(n)
-    size = _state_space_size(group, n)
+    size = group.order ** (2 * n)
     budget.check("max_state_space", size)
     budget.check("max_naive_work", automorphism_count(group) * math.factorial(n) * size)
     matrices = enumerate_automorphisms(group, budget).matrices
 
-    counts: dict[tuple[int, CycleType], int] = {}
+    # table[a, columns[ctype]]: automorphism a's count on that type, or -1.
+    columns: dict[CycleType, int] = {}
+    table = np.full((len(matrices), partition_count(n)), -1, dtype=np.int64)
     total = 0
     perms = permutations_of(n)
     while chunk := list(itertools.islice(perms, max(1, PROFILE_CHUNK // (8 * n)))):
         sigmas = np.array(chunk, dtype=np.intp)
         ctypes, labels = permutation_cycle_types(sigmas)
-        first = np.unique(labels, return_index=True)[1]
-        for lo, fixed in _fixed_counts(group, matrices, sigmas):
-            representative = fixed[:, first]
-            varies = bool((fixed != representative[:, labels]).any())
-            for a_idx, row in enumerate(representative.tolist(), start=lo):
-                for ctype, value in zip(ctypes, row):
-                    varies |= counts.setdefault((a_idx, ctype), value) != value
-            if varies:
+        col = np.array([columns.setdefault(ctype, len(columns)) for ctype in ctypes])[labels]
+        free, batch, per_pass = _scan_plan(group, n, len(matrices), len(sigmas))
+        for lo, halves in zip(
+            range(0, len(matrices), batch), _image_batches(group, matrices, batch)
+        ):
+            elements, characters = (_fixed_counts(h, sigmas, free, per_pass) for h in halves)
+            fixed = elements * characters
+            # A type new to the table takes one of its counts; if they vary,
+            # some count then differs from the stored one.
+            rows = table[lo : lo + len(fixed)]
+            stored = rows[:, col]
+            rows[:, col] = np.where(stored < 0, fixed, stored)
+            if (rows[:, col] != fixed).any():
                 raise IntegralityError(
                     f"fixed-point count for {group} varies within a cycle type"
                 )
             total += int(fixed.sum())
+    keys = itertools.product(range(len(matrices)), columns)
+    counts = dict(zip(keys, table.ravel().tolist()))
     orbit_count = exact_quotient(
         total, len(matrices) * math.factorial(n), f"fixed-point total for {group}, n={n}"
     )
@@ -464,7 +463,7 @@ def _orbit_labels(group: AbelianGroup, n: int, budget: Budget) -> np.ndarray:
     jumps every label to its label's label, until nothing changes.
     """
     _check_tuple_length(n)
-    size = _state_space_size(group, n)
+    size = group.order ** (2 * n)
     budget.check("max_state_space", size)
     matrices = enumerate_automorphisms(group, budget).matrices
     m = group.order

@@ -381,6 +381,7 @@ def test_fixed_point_report_c4_pairs():
 # state-image definition.
 PER_PAIR_CASES = [(group, n) for group in small_groups(8) for n in (1, 2)] + [
     (parse_group("C2"), 5),
+    (parse_group("C2"), 6),
     (parse_group("C3"), 3),
     (parse_group("C2^2"), 3),
 ]
@@ -434,9 +435,37 @@ def test_every_average_is_checked_for_integrality(monkeypatch, spec, total):
             method(group, 1)
 
 
+@pytest.mark.parametrize("chunk", [1 << 20, 1])
+def test_a_count_varying_within_a_cycle_type_is_refused(monkeypatch, chunk):
+    """Counts shifted by sigma(0) vary among the transpositions of S_3: in
+    one permutation chunk, or across chunks of one permutation each."""
+    half_scan = burnside._fixed_counts
+
+    def shifted(images, sigmas, *plan):
+        return half_scan(images, sigmas, *plan) + sigmas[:, 0]
+
+    monkeypatch.setattr(burnside, "_fixed_counts", shifted)
+    monkeypatch.setattr(burnside, "PROFILE_CHUNK", chunk)
+    with pytest.raises(IntegralityError, match="varies within a cycle type"):
+        fixed_point_report(parse_group("C2"), 3)
+
+
+@pytest.mark.parametrize("spec,n,unmoved_count", [("C2^2", 1, 8), ("C2xC4", 2, 636)])
+def test_naive_scan_reads_the_character_half(monkeypatch, spec, n, unmoved_count):
+    """With every character left unmoved the scan must count differently
+    (the true counts are 5 and 364), so it does not reuse the element half."""
+
+    def unmoved(group, matrices):
+        return np.tile(np.arange(group.order), (len(matrices), 1))
+
+    monkeypatch.setattr(burnside, "character_images", unmoved)
+    assert orbit_count_naive(parse_group(spec), n) == unmoved_count
+
+
 def test_fixed_point_report_memory_is_bounded_by_the_chunk(monkeypatch):
     """C4 at n=4 has 65,536 states; 2n int64 digit arrays over them take
-    4 MiB.  With a 4 KiB chunk the scan peaked at about 25 KB."""
+    4 MiB.  The scan reads each half's 256 tuples, never the joint states;
+    under a 4 KiB chunk it peaked at about 24 KB."""
     group = parse_group("C4")
     enumerate_automorphisms(group)
     monkeypatch.setattr(burnside, "PROFILE_CHUNK", 1 << 12)
