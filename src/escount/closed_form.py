@@ -41,6 +41,7 @@ from .glclasses import general_linear_order, gl_class_census
 from .numtheory import (
     CycleType,
     cycle_index_sum,
+    cycle_type_rows,
     cycle_types,
     divisors,
     euler_phi,
@@ -165,9 +166,7 @@ def n_cyclic_prime_power_alt(p: int, e: int, n: int) -> int:
         small_d = [d for d in divisors(p - 1) if d <= n]
         for d in small_d:
             type_sum = sum(
-                Fraction(
-                    p ** (2 * e * sum(lam.mult(t * d) for t in range(1, n // d + 1)))
-                )
+                p ** (2 * e * sum(lam.mult(t * d) for t in range(1, n // d + 1)))
                 * lam.weight()
                 for lam in types
             )
@@ -175,32 +174,23 @@ def n_cyclic_prime_power_alt(p: int, e: int, n: int) -> int:
         for k in range(1, e):
             for d in small_d:
                 type_sum = sum(
-                    Fraction(p ** (2 * f_p(lam, p, e, k, d))) * lam.weight()
+                    p ** (2 * f_p(lam, p, e, k, d)) * lam.weight()
                     for lam in types
                 )
                 total += Fraction(euler_phi(d), p**k) * (type_sum - 1)
         return _as_int(total, f"count for C{p**e}, n={n}")
 
     top = sum(
-        (
-            Fraction(4 ** (e * sum(lam.multiplicities)))
-            + Fraction(
-                4
-                ** (
-                    sum(lam.mult(t) for t in range(1, n + 1) if t % 2)
-                    + e * sum(lam.mult(2 * t) for t in range(1, n // 2 + 1))
-                )
-            )
-        )
-        * lam.weight()
+        (4 ** (e * sum(lam.multiplicities)) + 4 ** (
+            sum(lam.mult(t) for t in range(1, n + 1) if t % 2)
+            + e * sum(lam.mult(2 * t) for t in range(1, n // 2 + 1))
+        )) * lam.weight()
         for lam in types
     )
     total = Fraction(top, 2 ** (e - 1))
     for d in (1, 2):
         for k in range(2, e):
-            type_sum = sum(
-                Fraction(4 ** f_2(lam, e, k, d)) * lam.weight() for lam in types
-            )
+            type_sum = sum(4 ** f_2(lam, e, k, d) * lam.weight() for lam in types)
             total += Fraction(1, 2**k) * type_sum
     return _as_int(total, f"count for C{2**e}, n={n}")
 
@@ -236,6 +226,8 @@ PrimeCensus = tuple[int, Mapping[tuple[int, ...], int]]
 
 # Cycle types evaluated together by census_sum_by_cycle_type.
 TYPE_CHUNK = 64
+# Cycle-type steps that one profile step costs, as timed in cheaper_census_sum.
+PROFILE_STEP_COST = 3
 
 
 def unit_orders(p: int, e: int) -> dict[tuple[int, ...], int]:
@@ -297,10 +289,11 @@ def census_sum_by_cycle_type(censuses: Sequence[PrimeCensus], n: int) -> int:
     For a cycle type lambda with m_r r-cycles, the automorphism sum of
     prod_r f_r**(2 m_r) factors over the primes, so the total is
     sum_lambda (n!/z_lambda) prod_p sum_census count * p**(2 <c, m>).  The
-    exponents <c, m> for a chunk of cycle types and every census entry of a
-    prime are one integer matrix product; the powers come from a per-prime
-    table.  About p(n) * (sum_p |census_p| + n) steps; memory grows with
-    TYPE_CHUNK, not with p(n).
+    rows of numtheory.cycle_type_rows are read TYPE_CHUNK at a time; the
+    exponents <c, m> for a chunk and every census entry of a prime are one
+    integer matrix product, and the powers come from a per-prime table.
+    About p(n) * (sum_p |census_p| + n) steps of about 0.15 us; memory grows
+    with TYPE_CHUNK, not with p(n).  The n!/z_lambda read must add up to n!.
     """
     tables = []
     for p, census in censuses:
@@ -309,14 +302,18 @@ def census_sum_by_cycle_type(censuses: Sequence[PrimeCensus], n: int) -> int:
         top = int(profiles.max(initial=0)) * n
         powers = np.array([p ** (2 * x) for x in range(top + 1)], dtype=object)
         tables.append((profiles.T, counts, powers))
-    total = 0
-    types = cycle_types(n)
-    while chunk := list(itertools.islice(types, TYPE_CHUNK)):
-        multiplicities = np.array([lam.multiplicities for lam in chunk], dtype=np.int64)
-        terms = np.array([lam.permutation_count() for lam in chunk], dtype=object)
+    total = permutations = 0
+    rows = cycle_type_rows(n)
+    while chunk := list(itertools.islice(rows, TYPE_CHUNK)):
+        types, weights = zip(*chunk)
+        multiplicities = np.array(types, dtype=np.int64)
+        terms = np.array(weights, dtype=object)
+        permutations += sum(weights)
         for profiles, counts, powers in tables:
             terms = terms * (powers[multiplicities @ profiles] @ counts)
         total += int(terms.sum())
+    if permutations != math.factorial(n):
+        raise IntegralityError(f"cycle types of S_{n} cover {permutations} permutations")
     return total
 
 
@@ -327,11 +324,11 @@ def cheaper_census_sum(
 
     The estimates count steps as the two evaluators' docstrings do.  Timed
     on 54 cyclic cases (orders 12 to 720720, n = 6..30; 2-vCPU Xeon, Python
-    3.11), a step of either evaluator took a median of about 0.45 us, so the
-    step counts are compared as they are.
+    3.11), a profile step took a median of 0.45 us and a cycle-type step
+    0.15 us, so a profile step counts as PROFILE_STEP_COST of them.
     """
     sizes = [len(census) for _, census in censuses]
-    by_profile = math.prod(sizes) * n * n // 2
+    by_profile = PROFILE_STEP_COST * math.prod(sizes) * n * n // 2
     by_cycle_type = partition_count(n) * (sum(sizes) + n)
     if by_profile <= by_cycle_type:
         return census_sum_by_profile

@@ -154,6 +154,36 @@ class CycleType:
         return cls(tuple(mult))
 
 
+def cycle_type_rows(n: int) -> Iterator[tuple[tuple[int, ...], int]]:
+    """Each cycle type on n points as (multiplicities, n!/z_lambda), in
+    cycle_types' order, with no CycleType objects and no validation.
+
+    The next type raises m_t for the least t >= 2 whose shorter cycles hold
+    at least t points, clears the lengths 2..t-1 and puts the rest in m_1;
+    z = prod_{t>=2} t**m_t * m_t! follows by exact products and quotients.
+    """
+    if n < 1:
+        raise ValueError(f"cycle types need n >= 1, got {n}")
+    fact = [math.factorial(k) for k in range(n + 1)]
+    m = [0, n] + [0] * (n - 1)  # m[t] for 1 <= t <= n
+    z = 1
+    while True:
+        yield tuple(m[1:]), fact[n] // (fact[m[1]] * z)
+        free, t = m[1], 2
+        while free < t:
+            if t > n:
+                return
+            free += t * m[t]
+            t += 1
+        for s in range(2, t):
+            if m[s]:
+                z //= s ** m[s] * fact[m[s]]
+                m[s] = 0
+        m[t] += 1
+        z *= t * m[t]
+        m[1] = free - t
+
+
 def cycle_types(n: int) -> Iterator[CycleType]:
     """All cycle types on n points, in a fixed documented order.
 
@@ -161,17 +191,8 @@ def cycle_types(n: int) -> Iterator[CycleType]:
     (multiplicities of long cycles vary slowest), so the all-fixed-points
     type comes first and the single n-cycle comes last.
     """
-    if n < 1:
-        raise ValueError(f"cycle_types needs n >= 1, got {n}")
-
-    def rec(t: int, remaining: int, suffix: tuple[int, ...]):
-        if t == 1:
-            yield CycleType((remaining,) + suffix)
-            return
-        for count in range(remaining // t + 1):
-            yield from rec(t - 1, remaining - t * count, (count,) + suffix)
-
-    yield from rec(n, n, ())
+    for multiplicities, _ in cycle_type_rows(n):
+        yield CycleType(multiplicities)
 
 
 def cycle_index_sum(census: Mapping[Sequence[int], int], n: int) -> int:

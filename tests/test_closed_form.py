@@ -3,11 +3,12 @@ general cyclic sums, the elementary-abelian matrix average and class
 census, and the special-case formulas."""
 import itertools
 import math
+import tracemalloc
 from collections import Counter
 
 import pytest
 
-from escount import abelian, burnside, closed_form, glclasses
+from escount import abelian, burnside, closed_form, glclasses, numtheory
 from escount.abelian import parse_group, rank_mod_p
 from escount.budget import Budget, BudgetExceededError, IntegralityError
 from escount.burnside import orbit_count_congruence, orbit_count_naive
@@ -197,7 +198,9 @@ def test_closed_count_cyclic_matches_n_cyclic():
         assert closed_count(parse_group(f"C{m}"), 10) == n_cyclic(m, 10), m
 
 
-@pytest.mark.parametrize("m, n", [(720720, 10), (8640, 12), (4096, 15), (1, 4)])
+@pytest.mark.parametrize(
+    "m, n", [(720720, 10), (8640, 12), (4096, 15), (1, 4), (8640, 25)]
+)
 def test_census_evaluators_agree(m, n):
     censuses = [(p, unit_census(p, e, n)) for p, e in factorize(m)]
     total = census_sum_by_profile(censuses, n)
@@ -215,6 +218,37 @@ def test_census_evaluator_choice():
     assert chosen(12, 40) is census_sum_by_profile
     assert chosen(360, 40) is census_sum_by_profile
     assert chosen(4096, 25) is census_sum_by_profile
+    # C8640 has 162 profile combinations from 18 per-prime profiles; weighed
+    # as three cycle-type steps each, they cost more than the 1,958 types.
+    assert chosen(8640, 25) is census_sum_by_cycle_type
+
+
+def test_census_sum_by_cycle_type_checks_the_permutation_total(monkeypatch):
+    def drop_one(n):
+        rows = numtheory.cycle_type_rows(n)
+        next(rows)
+        yield from rows
+
+    censuses = [(p, unit_census(p, e, 6)) for p, e in factorize(12)]
+    assert census_sum_by_cycle_type(censuses, 6) == census_sum_by_profile(censuses, 6)
+    monkeypatch.setattr(closed_form, "cycle_type_rows", drop_one)
+    with pytest.raises(IntegralityError):
+        census_sum_by_cycle_type(censuses, 6)
+
+
+def test_census_sum_by_cycle_type_streams_the_types():
+    """C12 at n=40 has 37,338 cycle types; their int64 multiplicity table
+    alone would take 11.9 MB.  Read TYPE_CHUNK rows at a time, the sum
+    peaked at about 95 KB."""
+    censuses = [(p, unit_census(p, e, 40)) for p, e in factorize(12)]
+    tracemalloc.start()
+    try:
+        total = census_sum_by_cycle_type(censuses, 40)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert total == census_sum_by_profile(censuses, 40)
+    assert peak < 256 * 1024, peak
 
 
 def test_closed_count_cyclic_does_not_use_n_cyclic(monkeypatch):

@@ -10,6 +10,7 @@ import pytest
 from escount.numtheory import (
     CycleType,
     cycle_index_sum,
+    cycle_type_rows,
     cycle_types,
     delta_census,
     delta_vector,
@@ -106,6 +107,22 @@ def test_cycle_types_invariants():
             assert sum(r * m for r, m in enumerate(t.multiplicities, 1)) == n
     with pytest.raises(ValueError):
         list(cycle_types(0))
+
+
+def test_cycle_type_rows_match_the_partitions():
+    for n in range(1, 21):
+        rows = list(cycle_type_rows(n))
+        forms = {
+            tuple(part.count(t) for t in range(1, n + 1))
+            for part in integer_partitions(n)
+        }
+        assert len(rows) == len(forms) == partition_count(n)
+        assert {row for row, _ in rows} == forms
+        for row, count in rows:
+            assert count == CycleType(row).permutation_count(), row
+        assert sum(count for _, count in rows) == math.factorial(n)
+    with pytest.raises(ValueError):
+        list(cycle_type_rows(0))
 
 
 def test_cycle_type_validation():
