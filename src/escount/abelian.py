@@ -347,10 +347,11 @@ def enumerate_automorphisms(
     """All automorphisms of the group, in the order automorphism_chunks
     finds them.
 
-    The budget is checked on every call; the stack is cached by group
-    alone, so every budget that admits the group reads the same entry.
+    Only the scan's size, max_endo_candidates, is checked, on every call;
+    the paths that map elements check max_group_order themselves.  The
+    stack is cached by group alone, so every budget that admits the group
+    reads the same entry.
     """
-    budget.check("max_group_order", group.order)
     mods = group.moduli
     budget.check("max_endo_candidates", math.prod(math.gcd(a, b) for a in mods for b in mods))
     return _automorphisms(group)
@@ -515,6 +516,58 @@ def rank_mod_p_batch(stack: np.ndarray, p: int) -> np.ndarray:
         a[active, target] = pivot_rows
         rank[active] += 1
     return rank
+
+
+def kernel_exponents(group: AbelianGroup, stack: np.ndarray) -> np.ndarray:
+    """Exponents c with |ker B| = p**c, for each endomorphism B of the
+    p-group `group` in a (k, s, s) stack.
+
+    With E the largest exponent, row i of B is scaled by p**(E - e_i): the
+    scaled matrix is well defined on G modulo p**E and kills exactly ker B.
+    If v_1, ..., v_s are its Smith valuations modulo p**E (E for a zero),
+    then c = sum_i e_i - sum_k (E - v_k).  Each of s steps takes, in every
+    matrix, an entry of least valuation v, u * p**v (valuations are read
+    from a table over the p**E residues); it divides every entry, so
+    scaling each row by the unit u and subtracting a multiple of the pivot
+    row clears the pivot's row and column, and neither is picked again
+    while a nonzero entry is left.  Values stay below p**(2E); the caller's
+    products of s such terms must fit in int64 too.
+    """
+    primes = {p for p, _ in group.factors}
+    if len(primes) != 1:
+        raise ValueError(f"{group} is not a p-group")
+    (p,) = primes
+    exps = [e for _, e in group.factors]
+    k, s, top = len(stack), group.rank, max(exps)
+    q = p**top
+    if s * q * q >= 1 << 63:
+        raise ValueError(f"p**E={q} is too large for int64 elimination")
+    valuations = np.zeros(q, dtype=np.int8)
+    for t in range(1, top + 1):
+        valuations[:: p**t] += 1
+    powers = p ** np.arange(top + 1, dtype=np.int64)
+    # Residues modulo q, in place; for p = 2 a mask is several times faster.
+    reduce, by = (np.bitwise_and, q - 1) if p == 2 else (np.remainder, q)
+    a = np.asarray(stack, dtype=np.int64) * powers[top - np.array(exps)][:, None]
+    reduce(a, by, out=a)
+    every = np.arange(k)
+    lost = np.zeros(k, dtype=np.int64)
+    for step in range(s):
+        valuation = valuations[a].reshape(k, s * s)
+        flat = valuation.argmin(axis=1)
+        least = valuation[every, flat]
+        lost += top - least
+        if step + 1 == s:
+            break
+        row, col = np.divmod(flat, s)
+        pivot_row = a[every, row]
+        divisor = powers[least]
+        unit = pivot_row[every, col] // divisor
+        factors = a[every, :, col] // divisor[:, None]
+        a *= unit[:, None, None]
+        a -= factors[:, :, None] * pivot_row[:, None, :]
+        reduce(a, by, out=a)
+    return sum(exps) - lost
 
 
 @dataclass(frozen=True)

@@ -50,11 +50,13 @@ class Budget:
 
     max_group_order:       largest group order for the element-by-element
                            work on automorphisms (their |G|-wide image arrays
-                           and fixed-element counts), not for their scan.
+                           and fixed-element counts: congruence, naive and
+                           orbit listing), not for their scan; closed_count
+                           maps no element, so it never checks this limit.
     max_endo_candidates:   largest number of candidate endomorphism matrices
                            scanned when listing automorphisms.
-                           closed_count applies both limits to each Sylow
-                           factor it scans, not to the whole group.
+                           closed_count applies it to each Sylow factor it
+                           scans, not to the whole group.
     max_state_space:       largest number of configurations |G|^(2n) for the
                            naive fixed-point count and for orbit listing.
     max_naive_work:        largest total workload (group-pair count times

@@ -316,6 +316,7 @@ def fixed_point_report(
     size = group.order ** (2 * n)
     budget.check("max_state_space", size)
     budget.check("max_naive_work", automorphism_count(group) * math.factorial(n) * size)
+    budget.check("max_group_order", group.order)
     matrices = enumerate_automorphisms(group, budget).matrices
 
     # table[a, columns[ctype]]: automorphism a's count on that type, or -1.
@@ -385,6 +386,7 @@ def fixed_count_census(
     time.
     """
     _check_tuple_length(n)
+    budget.check("max_group_order", group.order)
     matrices = enumerate_automorphisms(group, budget).matrices
     chunk = _batch_size(group)
     census: Counter = Counter()
@@ -465,6 +467,7 @@ def _orbit_labels(group: AbelianGroup, n: int, budget: Budget) -> np.ndarray:
     _check_tuple_length(n)
     size = group.order ** (2 * n)
     budget.check("max_state_space", size)
+    budget.check("max_group_order", group.order)
     matrices = enumerate_automorphisms(group, budget).matrices
     m = group.order
     _, slots = next(_blocks(m, 2 * n, 2 * n))

@@ -165,6 +165,7 @@ def cmd_verify(args, budget: Budget) -> int:
             ],
             "disagreements": len(report.disagreements),
             "mismatches": len(mismatches),
+            "unwitnessed": report.unwitnessed,
             "ok": ok,
         }
         json.dump(payload, sys.stdout, indent=2)
@@ -185,7 +186,8 @@ def cmd_verify(args, budget: Budget) -> int:
                 )
             print(
                 f"cases: {len(report.cases)}  disagreements: {len(report.disagreements)}  "
-                f"references: {len(references)}  mismatches: {len(mismatches)}"
+                f"references: {len(references)}  mismatches: {len(mismatches)}  "
+                f"unwitnessed: {report.unwitnessed}"
             )
     return EXIT_OK if ok else EXIT_VERIFY_FAILED
 

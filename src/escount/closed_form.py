@@ -8,10 +8,14 @@ its kind allows: a cyclic factor from its unit-order shapes (k, d) and
 numtheory.shape_orders, the map delta_vector inverts, never listing units;
 an elementary factor C_p^s from the conjugacy classes of GL(s, p)
 (glclasses), never listing matrices; any other factor by scanning its
-automorphisms, so the budget limits apply to that factor alone.  The
-per-prime censuses are evaluated either profile by profile through the
-shared cycle-index kernel or cycle type by cycle type, whichever is
-estimated cheaper, and the total is divided by n! * |Aut(G)| once.
+automorphisms, so max_endo_candidates applies to that factor alone, and
+reading each power's fixed count p**c from a Smith form
+(abelian.kernel_exponents).  No element is mapped, so max_group_order does
+not apply and the congruence method's element images stay a separate
+witness.  The per-prime censuses are evaluated either profile by profile
+through the shared cycle-index kernel or cycle type by cycle type,
+whichever is estimated cheaper, and the total is divided by n! * |Aut(G)|
+once.
 
 The paper's forms stay independent of that census and serve as witnesses:
 for cyclic prime-power groups the Burnside average collapses to a sum over
@@ -34,9 +38,14 @@ from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .abelian import AbelianGroup, automorphism_chunks, rank_mod_p_batch
+from .abelian import (
+    AbelianGroup,
+    automorphism_chunks,
+    enumerate_automorphisms,
+    kernel_exponents,
+    rank_mod_p_batch,
+)
 from .budget import Budget, DEFAULT_BUDGET, IntegralityError, exact_quotient
-from .burnside import fixed_count_census
 from .glclasses import general_linear_order, gl_class_census
 from .numtheory import (
     CycleType,
@@ -228,6 +237,8 @@ PrimeCensus = tuple[int, Mapping[tuple[int, ...], int]]
 TYPE_CHUNK = 64
 # Cycle-type steps that one profile step costs, as timed in cheaper_census_sum.
 PROFILE_STEP_COST = 3
+# Matrix cells (automorphisms x powers x s**2) per kernel_exponents stack.
+SMITH_CELLS = 1 << 18
 
 
 def unit_orders(p: int, e: int) -> dict[tuple[int, ...], int]:
@@ -431,19 +442,33 @@ def _sylow_census(
     """Aut of a p-group tallied by exponent profile, by the lister for its kind.
 
     Cyclic: the unit census.  Elementary: the GL(s, p) class census.  Any
-    other p-group: its automorphisms are scanned and each fixed count,
-    a power of p, is mapped back to its exponent.
+    other p-group: its automorphisms are scanned, and the n powers A**r of
+    SMITH_CELLS // (n s**2) of them at a time, taken modulo p**E, go to
+    kernel_exponents as one stack of A**r - I; no element is ever mapped.
     """
     p, e = sylow.factors[0]
     if sylow.is_cyclic():
         return unit_census(p, e, n)
     if sylow.is_elementary():
         return gl_class_census(p, sylow.rank, n, budget)
-    exponent = {p**c: c for c in range(sum(k for _, k in sylow.factors) + 1)}
-    return {
-        tuple(exponent[f] for f in profile): count
-        for profile, count in fixed_count_census(sylow, n, budget).items()
-    }
+    matrices = enumerate_automorphisms(sylow, budget).matrices
+    s, q = sylow.rank, max(sylow.moduli)
+    batch = max(1, SMITH_CELLS // (n * s * s))
+    census: Counter = Counter()
+    for lo in range(0, len(matrices), batch):
+        mats = matrices[lo : lo + batch]
+        powers = np.empty((n,) + mats.shape, dtype=np.int64)
+        powers[0] = mats
+        for r in range(1, n):
+            powers[r] = powers[r - 1] @ mats % q
+        powers -= np.eye(s, dtype=np.int64)
+        exponents = kernel_exponents(sylow, powers.reshape(-1, s, s)).reshape(n, -1)
+        profiles = np.ascontiguousarray(exponents.T)
+        # One opaque n-cell key per row: a 1-d unique, far cheaper than axis=0.
+        keys = profiles.view(np.dtype((np.void, 8 * n))).ravel()
+        _, first, counts = np.unique(keys, return_index=True, return_counts=True)
+        census.update(dict(zip(map(tuple, profiles[first].tolist()), counts.tolist())))
+    return dict(census)
 
 
 def closed_count(group: AbelianGroup, n: int, budget: Budget = DEFAULT_BUDGET) -> int:

@@ -50,6 +50,11 @@ class VerificationReport:
     def ok(self) -> bool:
         return not self.disagreements
 
+    @property
+    def unwitnessed(self) -> int:
+        """Cases in which fewer than two methods ran, so nothing was compared."""
+        return sum(len(case.values) < 2 for case in self.cases)
+
 
 @dataclass
 class ReferenceRow:

@@ -28,6 +28,7 @@ from escount.abelian import (
     element_permutation,
     enumerate_automorphisms,
     invert_automorphism,
+    kernel_exponents,
     pairing_exponent,
     parse_group,
     pullback_character,
@@ -35,6 +36,7 @@ from escount.abelian import (
     rank_mod_p_batch,
 )
 from escount.budget import DEFAULT_BUDGET, Budget, BudgetExceededError, IntegralityError
+from escount.burnside import fixed_count_census, fixed_point_report
 from escount.closed_form import general_linear_order
 from escount.numtheory import euler_phi
 from escount.verify import abelian_groups_of_order
@@ -280,8 +282,9 @@ def test_automorphism_stack_checks_the_scan_count(change, monkeypatch):
 
 
 def test_automorphism_budget():
+    # The scan checks only its candidates; the element images check the order.
     with pytest.raises(BudgetExceededError) as excinfo:
-        enumerate_automorphisms(parse_group("C2^7"))
+        fixed_count_census(parse_group("C2^7"), 1)
     assert excinfo.value.limit_name == "max_group_order"
     with pytest.raises(BudgetExceededError) as excinfo:
         enumerate_automorphisms(parse_group("C2^6"), Budget(max_group_order=128))
@@ -331,9 +334,10 @@ def test_automorphism_items_carry_rows_of_ints():
 def test_tighter_budget_refuses_a_cached_group():
     group = parse_group("C2xC4")
     enumerate_automorphisms(group)
-    with pytest.raises(BudgetExceededError) as excinfo:
-        enumerate_automorphisms(group, Budget(max_group_order=4))
-    assert excinfo.value.limit_name == "max_group_order"
+    for element_path in (fixed_count_census, fixed_point_report):
+        with pytest.raises(BudgetExceededError) as excinfo:
+            element_path(group, 1, Budget(max_group_order=4))
+        assert excinfo.value.limit_name == "max_group_order"
     with pytest.raises(BudgetExceededError) as excinfo:
         enumerate_automorphisms(group, Budget(max_endo_candidates=8))
     assert excinfo.value.limit_name == "max_endo_candidates"
@@ -498,6 +502,44 @@ def test_rank_mod_p_batch_matches_rank_mod_p():
         assert batched.tolist() == [rank_mod_p(mat.tolist(), p) for mat in stack]
         assert (batched < stack.shape[1]).any()
     assert rank_mod_p_batch(np.zeros((0, 3, 3), dtype=np.int64), 5).shape == (0,)
+
+
+def endomorphism_stack(group, limit, rng):
+    """Every endomorphism matrix of the group if there are at most `limit`,
+    else `limit` drawn at random, as a (k, s, s) stack."""
+    mods = group.moduli
+    cells = [
+        [t * (mods[i] // math.gcd(mods[i], mods[j])) for t in range(math.gcd(mods[i], mods[j]))]
+        for i in range(group.rank) for j in range(group.rank)
+    ]
+    if math.prod(map(len, cells)) <= limit:
+        rows = list(itertools.product(*cells))
+    else:
+        rows = [[rng.choice(cell) for cell in cells] for _ in range(limit)]
+    return np.array(rows, dtype=np.int64).reshape(-1, group.rank, group.rank)
+
+
+@pytest.mark.parametrize(
+    "spec", ["C2xC4", "C4xC4", "C3xC9", "C2^2xC8", "C2xC4xC8", "C8^2xC2", "C3^2xC9", "C5xC25"]
+)
+def test_kernel_exponents_count_the_kernel(spec):
+    group = parse_group(spec)
+    p = group.factors[0][0]
+    stack = endomorphism_stack(group, 400, random.Random(spec))
+    exponents = kernel_exponents(group, stack)
+    # Index 0 is the identity element, so each row's zeros are its kernel.
+    assert (p**exponents).tolist() == (element_images(group, stack) == 0).sum(axis=1).tolist()
+    assert len(set(exponents.tolist())) > 2
+
+
+def test_kernel_exponents_refuses_what_it_cannot_reduce():
+    assert kernel_exponents(parse_group("C2xC4"), np.zeros((0, 2, 2))).shape == (0,)
+    with pytest.raises(ValueError, match="not a p-group"):
+        kernel_exponents(parse_group("C2xC3"), np.zeros((1, 2, 2), dtype=np.int64))
+    # s * p**(2E) = 2 * 2**62 does not fit in int64.
+    huge = AbelianGroup(((2, 1), (2, 31)))
+    with pytest.raises(ValueError, match="too large for int64"):
+        kernel_exponents(huge, np.zeros((1, 2, 2), dtype=np.int64))
 
 
 def test_esc_validation():

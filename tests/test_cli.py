@@ -14,6 +14,7 @@ import pytest
 
 import escount
 from escount import cli, verify
+from escount.budget import BudgetExceededError
 
 PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"
 PIN_SCRIPT = PYPROJECT.parent / "perfbench" / "pin.py"
@@ -152,6 +153,28 @@ def test_verify_text(capsys):
     code, out, _ = run_cli(["verify", "--max-order", "6", "--max-n", "1"], capsys)
     assert code == cli.EXIT_OK
     assert "cases: 7  disagreements: 0  references: 16  mismatches: 0" in out
+    assert out.splitlines()[-1].endswith("  unwitnessed: 0")
+
+
+def test_verify_reports_cases_with_one_method(capsys, monkeypatch):
+    def refusing_c2xc4(method):
+        def run(group, n, budget):
+            if str(group) == "C2xC4":
+                raise BudgetExceededError("max_group_order", 1, group.order)
+            return method(group, n, budget)
+        return run
+
+    # C2xC4 has no paper's form, so only closed runs on it.
+    for name in ("naive", "congruence"):
+        monkeypatch.setitem(verify.METHODS, name, refusing_c2xc4(verify.METHODS[name]))
+    code, out, _ = run_cli(["verify", "--max-order", "8", "--max-n", "1"], capsys)
+    assert code == cli.EXIT_OK
+    assert out.splitlines()[-1].endswith("mismatches: 0  unwitnessed: 1")
+    code, out, _ = run_cli(
+        ["verify", "--max-order", "8", "--max-n", "1", "--format", "json"], capsys
+    )
+    assert code == cli.EXIT_OK
+    assert json.loads(out)["unwitnessed"] == 1
 
 
 def test_verify_json(capsys):
@@ -163,6 +186,7 @@ def test_verify_json(capsys):
     assert payload["ok"] is True
     assert len(payload["cases"]) == 7
     assert payload["mismatches"] == 0
+    assert payload["unwitnessed"] == 0
     c4_case = next(c for c in payload["cases"] if c["group"] == "C4")
     assert c4_case["values"]["cyclic"] == "10"
     # Each object carries its record's fields in field order, counts as strings.
@@ -193,6 +217,7 @@ def test_verify_detects_mismatch(capsys, monkeypatch):
         cases = [FakeCase()]
         disagreements = [FakeCase()]
         ok = False
+        unwitnessed = 0
 
     monkeypatch.setattr(cli, "sweep", lambda max_order, max_n, budget: FakeReport())
     code, out, _ = run_cli(["verify", "--max-order", "2", "--max-n", "1"], capsys)

@@ -6,6 +6,7 @@ import math
 import tracemalloc
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from escount import abelian, burnside, closed_form, glclasses, numtheory
@@ -477,16 +478,80 @@ def test_closed_count_splits_mixed_groups_by_sylow(monkeypatch):
 
 
 def test_closed_count_budget_applies_to_each_scanned_sylow_factor():
-    # The 3-part of C2xC4xC3^2 is elementary and the 2-part has order 8,
-    # so a bound of 8 is enough; the 3-group C3^2xC9 is one factor of 81.
-    tight = Budget(max_group_order=8)
+    # The 2-part C2xC4 of C2xC4xC3^2 has 2*2*2*4 = 32 candidates and its
+    # 3-part is elementary, so 32 is enough, far below the whole group's.
+    tight = Budget(max_endo_candidates=32)
     assert closed_count(parse_group("C2xC4xC3^2"), 2, tight) == orbit_count_congruence(
         parse_group("C2xC4xC3^2"), 2, Budget(max_group_order=72)
     )
+    # max_group_order bounds the element images only: closed answers the
+    # 3-group C3^2xC9 of order 81, while congruence still refuses it.
+    group = parse_group("C3^2xC9")
+    assert closed_count(group, 2) == orbit_count_congruence(
+        group, 2, Budget(max_group_order=81)
+    )
     with pytest.raises(BudgetExceededError) as excinfo:
-        closed_count(parse_group("C3^2xC9"), 2)
+        orbit_count_congruence(group, 2)
     assert excinfo.value.limit_name == "max_group_order"
     assert excinfo.value.required == 81
+    with pytest.raises(BudgetExceededError) as excinfo:
+        closed_count(parse_group("C2^4xC4"), 1)
+    assert excinfo.value.limit_name == "max_endo_candidates"
+    assert excinfo.value.required == 2**26
+
+
+# Scanned p-groups whose Smith census is checked against the element images.
+SMITH_GROUPS = ("C2xC4", "C3xC9", "C4xC4", "C2^2xC8", "C2xC4xC8", "C8^2xC2", "C3^2xC9")
+
+
+@pytest.mark.parametrize("spec", SMITH_GROUPS)
+def test_smith_census_matches_the_element_image_census(spec):
+    group = parse_group(spec)
+    p = group.factors[0][0]
+    images = Budget(max_group_order=group.order)
+    exponent = {p**c: c for c in range(sum(e for _, e in group.factors) + 1)}
+    for n in range(1, 5):
+        expected = {
+            tuple(exponent[f] for f in profile): count
+            for profile, count in burnside.fixed_count_census(group, n, images).items()
+        }
+        assert closed_form._sylow_census(group, n, Budget()) == expected, n
+
+
+def test_closed_count_maps_no_element_of_a_scanned_factor(monkeypatch):
+    raised = Budget(max_group_order=81)
+    expected = {
+        spec: orbit_count_congruence(parse_group(spec), 2, raised)
+        for spec in ("C2xC4xC8", "C3^2xC9")
+    }
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("closed_count mapped group elements")
+
+    for module, name in (
+        (abelian, "element_images"), (burnside, "element_images"),
+        (burnside, "fixed_count_census"),
+    ):
+        monkeypatch.setattr(module, name, refuse)
+    for spec, count in expected.items():
+        assert closed_count(parse_group(spec), 2) == count, spec
+
+
+@pytest.mark.parametrize("change", ["drop", "repeat"])
+def test_closed_count_refuses_an_altered_automorphism_scan(monkeypatch, change):
+    scan = abelian.automorphism_chunks
+
+    def altered(group):
+        chunks = list(scan(group))
+        last = chunks[-1]
+        chunks[-1] = last[:-1] if change == "drop" else np.concatenate([last, last[-1:]])
+        return iter(chunks)
+
+    abelian.enumerate_automorphisms.cache_clear()
+    monkeypatch.setattr(abelian, "automorphism_chunks", altered)
+    with pytest.raises(IntegralityError):
+        closed_count(parse_group("C2xC4xC8"), 2)
+    assert abelian.enumerate_automorphisms.cache_info().currsize == 0
 
 
 def test_closed_count_checks_the_unit_census_total(monkeypatch):

@@ -124,6 +124,16 @@ def test_sweep_respects_budget():
             assert case.values["cyclic"] == 7
 
 
+def test_sweep_counts_the_unwitnessed_cases():
+    assert sweep(8, 1).unwitnessed == 0
+    # With max_group_order 1 the element-image methods refuse every
+    # nontrivial group; C2xC4 is left with closed alone, still "ok".
+    report = sweep(8, 1, budget=Budget(max_group_order=1))
+    alone = [case.group for case in report.cases if len(case.values) < 2]
+    assert alone == ["C2xC4"]
+    assert report.unwitnessed == 1 and report.ok
+
+
 def test_sweep_validation():
     with pytest.raises(ValueError):
         sweep(0, 1)
