@@ -9,7 +9,7 @@ of unity.  Endomorphisms are integer matrices acting on exponent tuples,
 with entry ``(i, j)`` constrained to be a multiple of
 ``m_i / gcd(m_i, m_j)`` so that the map respects factor orders.
 
-The automorphisms of a group are found by one batched scan
+The automorphisms of a group are listed from its GL(b, p) blocks
 (automorphism_chunks) and cached as one read-only (k, s, s) int64 stack,
 sized in advance by the closed-form order (automorphism_count) and
 wrapped in an Automorphisms sequence: counting code reads the stack, and an
@@ -259,40 +259,60 @@ def character_images(group: AbelianGroup, matrices: np.ndarray) -> np.ndarray:
     return np.argsort(element_images(group, dual), axis=1)
 
 
-# Candidate matrices per batch in the automorphism scan.
+# Candidates per batch of a GL(b, p) scan, and matrices per listed stack.
 MATRIX_CHUNK = 1 << 14
 
 
-def automorphism_chunks(group: AbelianGroup) -> Iterator[np.ndarray]:
-    """All automorphisms of the group, as (k, s, s) matrix stacks.
-
-    Candidates run in itertools.product order over the admissible values of
-    each cell (the gcd(m_i, m_j) multiples of m_i / gcd(m_i, m_j) below m_i)
-    and are tested MATRIX_CHUNK at a time.  By Hillar and Rhea, an
-    endomorphism of an abelian p-group is an automorphism iff it is
-    invertible mod p.  Cells between different primes are 0, and mod p a
-    cell vanishes when its row factor has the larger exponent, so with the
-    factors sorted the reduced matrix is block-triangular: a candidate is
-    kept iff the block of each factor (p, e) has full rank mod p.
-    """
-    s = group.rank
-    mods = group.moduli
-    cells = [(i, j, math.gcd(mods[i], mods[j])) for i in range(s) for j in range(s)]
-    total = math.prod(c for _, _, c in cells)
-    blocks = [
-        (p, group.factors.index((p, e)), group.factors.count((p, e)))
-        for p, e in dict.fromkeys(group.factors)
-    ]
+def general_linear_chunks(p: int, b: int) -> Iterator[np.ndarray]:
+    """The matrices of GL(b, p), entries in [0, p), as (k, b, b) stacks in
+    itertools.product order over the entries: rank_mod_p_batch keeps the
+    invertible ones among the p**(b*b) candidates, MATRIX_CHUNK at a time."""
+    total = p ** (b * b)
+    place = p ** np.arange(b * b - 1, -1, -1, dtype=np.int64)
     for lo in range(0, total, MATRIX_CHUNK):
         idx = np.arange(lo, min(total, lo + MATRIX_CHUNK), dtype=np.int64)
+        cand = (idx[:, None] // place % p).reshape(-1, b, b)
+        yield cand[rank_mod_p_batch(cand, p) == b]
+
+
+def automorphism_chunks(group: AbelianGroup) -> Iterator[np.ndarray]:
+    """All automorphisms of the group, as (k, s, s) stacks of at most
+    MATRIX_CHUNK matrices, in itertools.product order over the cells.
+
+    Cell (i, j) holds d * m_i / c for a digit d below c = gcd(m_i, m_j), so a
+    candidate's index in that order is the sum of digit * stride.  By Hillar
+    and Rhea, with the factors sorted, a candidate is an automorphism iff
+    the block of each run of b equal factors C_{p^e} is in GL(b, p) mod p.
+    No candidate is rejected: the indices are sorted sums of independent
+    parts: per block, a GL(b, p) matrix's digits plus p * [0, p**(e - 1))
+    in each of its cells; per other cell, [0, c).  An elementary group is
+    one block, passed on as it is scanned."""
+    if group.is_elementary():
+        yield from general_linear_chunks(group.factors[0][0], group.rank)
+        return
+    s, mods = group.rank, group.moduli
+    cells = [(i, j, math.gcd(mods[i], mods[j])) for i in range(s) for j in range(s)]
+    strides = [math.prod(c for *_, c in cells[t + 1 :]) for t in range(len(cells))]
+    digits = [np.arange(c, dtype=np.int64) for *_, c in cells]
+    parts = []
+    for p, e in dict.fromkeys(group.factors):
+        start, b = group.factors.index((p, e)), group.factors.count((p, e))
+        block = [i * s + j for i in range(start, start + b) for j in range(start, start + b)]
+        weights = np.array([strides[t] for t in block], dtype=np.int64)
+        gl = [mats.reshape(-1, b * b) @ weights for mats in general_linear_chunks(p, b)]
+        parts.append(np.concatenate(gl))
+        for t in block:
+            digits[t] = p * np.arange(p ** (e - 1), dtype=np.int64)
+    parts += [d * stride for d, stride in zip(digits, strides) if len(d) > 1]
+    index = np.zeros(1, dtype=np.int64)
+    for part in parts:
+        index = (index[:, None] + part).ravel()
+    index.sort()
+    for lo in range(0, len(index), MATRIX_CHUNK):
+        idx = index[lo : lo + MATRIX_CHUNK]
         cand = np.empty((len(idx), s, s), dtype=np.int64)
-        stride = total
-        for i, j, c in cells:
-            stride //= c
+        for (i, j, c), stride in zip(cells, strides):
             cand[:, i, j] = idx // stride % c * (mods[i] // c)
-        for p, start, size in blocks:
-            block = cand[:, start : start + size, start : start + size]
-            cand = cand[rank_mod_p_batch(block, p) == size]
         yield cand
 
 
@@ -347,10 +367,10 @@ def enumerate_automorphisms(
     """All automorphisms of the group, in the order automorphism_chunks
     finds them.
 
-    Only the scan's size, max_endo_candidates, is checked, on every call;
-    the paths that map elements check max_group_order themselves.  The
-    stack is cached by group alone, so every budget that admits the group
-    reads the same entry.
+    Only max_endo_candidates, on the candidate space, is checked, on
+    every call; the paths that map elements check max_group_order
+    themselves.  The stack is cached by group alone, so every budget that
+    admits the group reads the same entry.
     """
     mods = group.moduli
     budget.check("max_endo_candidates", math.prod(math.gcd(a, b) for a in mods for b in mods))
@@ -359,8 +379,8 @@ def enumerate_automorphisms(
 
 @lru_cache(maxsize=None)
 def _automorphisms(group: AbelianGroup) -> Automorphisms:
-    """The scanned automorphisms, copied chunk by chunk into a stack
-    preallocated at automorphism_count rows; a scan that finds any other
+    """The listed automorphisms, copied chunk by chunk into a stack
+    preallocated at automorphism_count rows; a listing that finds any other
     number raises IntegralityError."""
     k = automorphism_count(group)
     matrices = np.empty((k, group.rank, group.rank), dtype=np.int64)
@@ -370,7 +390,7 @@ def _automorphisms(group: AbelianGroup) -> Automorphisms:
             matrices[found : found + len(chunk)] = chunk
         found += len(chunk)
     if found != k:
-        raise IntegralityError(f"scanned {found} automorphisms of {group}, expected {k}")
+        raise IntegralityError(f"listed {found} automorphisms of {group}, expected {k}")
     matrices.flags.writeable = False
     return Automorphisms(group, matrices)
 
@@ -516,6 +536,16 @@ def rank_mod_p_batch(stack: np.ndarray, p: int) -> np.ndarray:
         a[active, target] = pivot_rows
         rank[active] += 1
     return rank
+
+
+def unique_rows(table: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The distinct rows of a 2-d integer table, each row's index among
+    them, and how often each occurs: one opaque key per row makes this a 1-d
+    np.unique, far cheaper than axis=0.  Rows come in the keys' byte order."""
+    table = np.ascontiguousarray(table, dtype=np.int64)
+    keys = table.view(np.dtype((np.void, 8 * table.shape[1]))).ravel()
+    _, first, labels, counts = np.unique(keys, True, True, True)  # index, inverse, counts
+    return table[first], labels.reshape(-1), counts
 
 
 def kernel_exponents(group: AbelianGroup, stack: np.ndarray) -> np.ndarray:

@@ -53,10 +53,11 @@ class Budget:
                            and fixed-element counts: congruence, naive and
                            orbit listing), not for their scan; closed_count
                            maps no element, so it never checks this limit.
-    max_endo_candidates:   largest number of candidate endomorphism matrices
-                           scanned when listing automorphisms.
-                           closed_count applies it to each Sylow factor it
-                           scans, not to the whole group.
+    max_endo_candidates:   largest candidate space prod gcd(m_i, m_j) of a
+                           group whose automorphisms are listed; the lister
+                           walks only its GL(b, p) blocks, but refusals stay
+                           priced by the whole space.  closed_count applies
+                           it to each Sylow factor it lists, not to the group.
     max_state_space:       largest number of configurations |G|^(2n) for the
                            naive fixed-point count and for orbit listing.
     max_naive_work:        largest total workload (group-pair count times

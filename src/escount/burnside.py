@@ -45,6 +45,7 @@ from .abelian import (
     enumerate_automorphisms,
     invert_automorphism,
     pullback_character,
+    unique_rows,
 )
 from .budget import Budget, DEFAULT_BUDGET, IntegralityError, exact_quotient
 from .numtheory import CycleType, cycle_index_sum, partition_count
@@ -231,11 +232,8 @@ def permutation_cycle_types(perms: np.ndarray) -> tuple[list[CycleType], np.ndar
             power = np.take_along_axis(perms, power, axis=1)
     cells = (np.arange(k)[:, None] * n + lengths - 1).ravel()
     on_cycles = np.bincount(cells, minlength=k * n).reshape(k, n)
-    mults = np.ascontiguousarray(on_cycles // np.arange(1, n + 1), dtype=np.int64)
-    # One opaque n-cell key per row: a 1-d unique, far cheaper than axis=0.
-    keys = mults.view(np.dtype((np.void, 8 * n))).ravel()
-    _, first, labels = np.unique(keys, return_index=True, return_inverse=True)
-    return [CycleType(tuple(row)) for row in mults[first].tolist()], labels.reshape(-1)
+    types, labels, _ = unique_rows(on_cycles // np.arange(1, n + 1))
+    return [CycleType(tuple(row)) for row in types.tolist()], labels
 
 
 def _words(states: int) -> int:
@@ -382,8 +380,7 @@ def fixed_count_census(
 
     Keys are (|Fix(phi)|, ..., |Fix(phi**n)|), values the number of
     automorphisms phi with that profile; they add up to |Aut(G)|.  The
-    automorphisms are scanned and profiled PROFILE_CHUNK image cells at a
-    time.
+    automorphisms are profiled PROFILE_CHUNK image cells at a time.
     """
     _check_tuple_length(n)
     budget.check("max_group_order", group.order)
@@ -392,7 +389,7 @@ def fixed_count_census(
     census: Counter = Counter()
     for lo in range(0, len(matrices), chunk):
         profiles = fixed_count_profiles(group, matrices[lo : lo + chunk], n)
-        rows, counts = np.unique(profiles, axis=0, return_counts=True)
+        rows, _, counts = unique_rows(profiles)
         census.update(dict(zip(map(tuple, rows.tolist()), counts.tolist())))
     return dict(census)
 

@@ -13,6 +13,7 @@ import csv
 import json
 import sys
 from dataclasses import asdict, astuple, dataclass, fields
+from functools import cache
 
 from .abelian import GroupParseError, parse_group
 from .budget import Budget, budget_from_env
@@ -80,7 +81,9 @@ def _positive_int(raw: str) -> int:
     return value
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The escount parser, built once per process for every call of main."""
     parser = argparse.ArgumentParser(
         prog="escount",
         description=(

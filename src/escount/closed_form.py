@@ -44,6 +44,7 @@ from .abelian import (
     enumerate_automorphisms,
     kernel_exponents,
     rank_mod_p_batch,
+    unique_rows,
 )
 from .budget import Budget, DEFAULT_BUDGET, IntegralityError, exact_quotient
 from .glclasses import general_linear_order, gl_class_census
@@ -412,9 +413,8 @@ def matrix_scan_census(
             coranks[:, r] = s - rank_mod_p_batch(power - identity, p)
             if r + 1 < n:
                 power = power @ mats % p
-        rows, counts = np.unique(coranks, axis=0, return_counts=True)
-        for row, count in zip(rows.tolist(), counts.tolist()):
-            census[tuple(row)] += count
+        rows, _, counts = unique_rows(coranks)
+        census.update(dict(zip(map(tuple, rows.tolist()), counts.tolist())))
     return dict(census)
 
 
@@ -442,7 +442,7 @@ def _sylow_census(
     """Aut of a p-group tallied by exponent profile, by the lister for its kind.
 
     Cyclic: the unit census.  Elementary: the GL(s, p) class census.  Any
-    other p-group: its automorphisms are scanned, and the n powers A**r of
+    other p-group: its automorphisms are listed, and the n powers A**r of
     SMITH_CELLS // (n s**2) of them at a time, taken modulo p**E, go to
     kernel_exponents as one stack of A**r - I; no element is ever mapped.
     """
@@ -463,11 +463,8 @@ def _sylow_census(
             powers[r] = powers[r - 1] @ mats % q
         powers -= np.eye(s, dtype=np.int64)
         exponents = kernel_exponents(sylow, powers.reshape(-1, s, s)).reshape(n, -1)
-        profiles = np.ascontiguousarray(exponents.T)
-        # One opaque n-cell key per row: a 1-d unique, far cheaper than axis=0.
-        keys = profiles.view(np.dtype((np.void, 8 * n))).ravel()
-        _, first, counts = np.unique(keys, return_index=True, return_counts=True)
-        census.update(dict(zip(map(tuple, profiles[first].tolist()), counts.tolist())))
+        rows, _, counts = unique_rows(exponents.T)
+        census.update(dict(zip(map(tuple, rows.tolist()), counts.tolist())))
     return dict(census)
 
 

@@ -219,8 +219,67 @@ def automorphisms_by_image_sort(group):
     return tuple(EndoMatrix(group, tuple(map(tuple, mat))) for mat in kept)
 
 
+def automorphisms_by_candidate_filter(group):
+    """Reference for automorphism_chunks: walk every admissible matrix in
+    itertools.product order over its cells and keep it iff the block of
+    each run of equal factors has full rank mod p (Hillar and Rhea)."""
+    s, mods = group.rank, group.moduli
+    cells = [(i, j, math.gcd(mods[i], mods[j])) for i in range(s) for j in range(s)]
+    total = math.prod(c for *_, c in cells)
+    idx = np.arange(total, dtype=np.int64)
+    cand = np.empty((total, s, s), dtype=np.int64)
+    stride = total
+    for i, j, c in cells:
+        stride //= c
+        cand[:, i, j] = idx // stride % c * (mods[i] // c)
+    for p, e in dict.fromkeys(group.factors):
+        start, size = group.factors.index((p, e)), group.factors.count((p, e))
+        block = cand[:, start : start + size, start : start + size]
+        cand = cand[rank_mod_p_batch(block, p) == size]
+    return cand
+
+
 def endo_candidate_count(group):
     return math.prod(math.gcd(a, b) for a in group.moduli for b in group.moduli)
+
+
+@pytest.mark.parametrize("spec", ["C2^3xC4", "C3^2xC9", "C8^2xC2"])
+def test_automorphisms_match_candidate_filter_reference(spec):
+    group = parse_group(spec)
+    listed = np.concatenate(list(automorphism_chunks(group)))
+    assert np.array_equal(listed, automorphisms_by_candidate_filter(group))
+
+
+def test_automorphism_lister_rejects_no_candidate(monkeypatch):
+    # Only the 2^4 candidates of each GL(2, 2) block are row-reduced, where
+    # a filter over all candidates would reduce 2^20.
+    rows = []
+
+    def counted(stack, p):
+        rows.append(len(stack))
+        return rank_mod_p_batch(stack, p)
+
+    monkeypatch.setattr(abelian, "rank_mod_p_batch", counted)
+    group = parse_group("C2^2xC4^2")
+    assert endo_candidate_count(group) == 1 << 20
+    listed = sum(len(stack) for stack in automorphism_chunks(group))
+    assert listed == automorphism_count(group) == 147456
+    assert sum(rows) <= 2 * 2**4
+
+
+def test_automorphism_lister_scans_gl_blocks_in_chunks():
+    # The GL(4, 2) block of C2^4xC3 has 65,536 candidates; scanned in one
+    # batch its row reduction would need about 37 MB above the stack.
+    group = parse_group("C2^4xC3")
+    enumerate_automorphisms.cache_clear()
+    tracemalloc.start()
+    try:
+        stack = enumerate_automorphisms(group).matrices
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(stack) == 40320
+    assert peak - stack.nbytes < 16 << 20, (peak, stack.nbytes)
 
 
 def test_automorphisms_match_image_sort_reference():
