@@ -265,14 +265,15 @@ MATRIX_CHUNK = 1 << 14
 
 def general_linear_chunks(p: int, b: int) -> Iterator[np.ndarray]:
     """The matrices of GL(b, p), entries in [0, p), as (k, b, b) stacks in
-    itertools.product order over the entries: rank_mod_p_batch keeps the
+    itertools.product order over the entries: kernel_exponents keeps the
     invertible ones among the p**(b*b) candidates, MATRIX_CHUNK at a time."""
+    space = AbelianGroup(((p, 1),) * b)
     total = p ** (b * b)
     place = p ** np.arange(b * b - 1, -1, -1, dtype=np.int64)
     for lo in range(0, total, MATRIX_CHUNK):
         idx = np.arange(lo, min(total, lo + MATRIX_CHUNK), dtype=np.int64)
         cand = (idx[:, None] // place % p).reshape(-1, b, b)
-        yield cand[rank_mod_p_batch(cand, p) == b]
+        yield cand[kernel_exponents(space, cand) == 0]
 
 
 def automorphism_chunks(group: AbelianGroup) -> Iterator[np.ndarray]:
@@ -500,41 +501,6 @@ def rank_mod_p(rows: Iterable[Iterable[int]], p: int) -> int:
         rank += 1
         if rank == n_rows:
             break
-    return rank
-
-
-def rank_mod_p_batch(stack: np.ndarray, p: int) -> np.ndarray:
-    """Ranks over the field with p elements of a (k, rows, cols) integer stack.
-
-    The same row reduction as rank_mod_p, run on all k matrices at once:
-    each column step picks, in every matrix that still has one, the first
-    nonzero pivot at or below that matrix's current rank.  Instead of
-    dividing by the pivot, every other row is scaled by it (a unit mod p,
-    so ranks do not change) before the pivot row is subtracted.
-    Intermediate values stay below p**2 in absolute value, which must fit
-    in int64.
-    """
-    if (p - 1) ** 2 >= 1 << 63:
-        raise ValueError(f"p={p} is too large for int64 row reduction")
-    a = np.array(stack, dtype=np.int64) % p
-    k, n_rows, n_cols = a.shape
-    rank = np.zeros(k, dtype=np.int64)
-    row_ids = np.arange(n_rows)
-    for col in range(n_cols):
-        candidates = (a[:, :, col] != 0) & (row_ids >= rank[:, None])
-        active = np.nonzero(candidates.any(axis=1))[0]
-        if not active.size:
-            continue
-        pivot = candidates[active].argmax(axis=1)
-        target = rank[active]
-        pivot_rows = a[active, pivot]
-        a[active, pivot] = a[active, target]
-        factors = a[active, :, col]
-        factors[np.arange(active.size), target] = 0
-        scale = pivot_rows[:, col, None, None]
-        a[active] = (a[active] * scale - factors[:, :, None] * pivot_rows[:, None, :]) % p
-        a[active, target] = pivot_rows
-        rank[active] += 1
     return rank
 
 

@@ -19,7 +19,8 @@ Each half is scanned over its m**n tuples in the blocks of _blocks.  Per
 batch of automorphisms and block it builds the n x n match masks
 M[j, t] = [phi(x_j) = x_t], packed into 64-bit words; for a whole batch of
 permutations the fixed tuples of (phi, sigma) are the set bits of
-AND_j M[j, sigma(j)].  Every temporary stays within about PROFILE_CHUNK
+AND_j M[j, sigma(j)]; the permutations come as int8 tables
+(permutation_chunks).  Every temporary stays within about PROFILE_CHUNK
 bytes (int64 image cells for the image arrays), whatever the budget.
 """
 from __future__ import annotations
@@ -215,25 +216,54 @@ def popcount(words: np.ndarray) -> np.ndarray:
     return per_word.sum(axis=-1, dtype=np.int64)
 
 
+def _prefixed(n: int, lead: list, tail: np.ndarray) -> np.ndarray:
+    """Each prefix in `lead`, then each row of `tail` (S_m) on the m points
+    it leaves."""
+    rest = np.array([sorted(set(range(n)).difference(p)) for p in lead], dtype=np.int8)
+    head = np.array(lead, dtype=np.int8)[:, None].repeat(len(tail), axis=1)
+    return np.concatenate([head, rest[:, tail]], axis=2).reshape(-1, n)
+
+
+def permutation_chunks(n: int, size: int) -> Iterator[np.ndarray]:
+    """The permutations of n positions in permutations_of order, as (k, n)
+    int8 tables of at most `size` >= 1 rows, with no tuple per permutation:
+    with m the largest with m! <= size, size // m! (at most m) itertools
+    prefixes of n - m images, each followed by one table of S_m, built as
+    S_(t-1) under the one-point prefixes of S_t."""
+    if n > 127:
+        raise ValueError("int8 rows hold at most 127 positions")
+    m = max(t for t in range(n + 1) if math.factorial(t) <= size)
+    tail = np.zeros((1, 0), dtype=np.int8)
+    for t in range(1, m + 1):
+        tail = _prefixed(t, [(v,) for v in range(t)], tail)
+    prefixes = itertools.permutations(range(n), n - m)
+    while lead := list(itertools.islice(prefixes, size // len(tail))):
+        yield _prefixed(n, lead, tail)
+
+
 def permutation_cycle_types(perms: np.ndarray) -> tuple[list[CycleType], np.ndarray]:
     """Distinct cycle types of the rows of a (k, n) permutation table, and
     the index of each row's type among them.
 
     A point's cycle length is the least r with sigma**r fixing it; the
-    powers are at most n - 1 gathers over the whole table.
+    powers are at most n - 1 gathers over the whole table.  The number of
+    r-cycles, at most n // r, is digit r of a mixed-radix int64 key.
     """
     k, n = perms.shape
-    points = np.arange(n)
-    lengths = np.zeros((k, n), dtype=np.int64)
-    power = perms
+    if math.prod(n // r + 1 for r in range(1, n + 1)) >= 1 << 63:
+        raise ValueError(f"cycle types of S_{n} do not fit in int64 keys")
+    points = np.arange(n, dtype=perms.dtype)
+    left = np.ones((k, n), dtype=bool)
+    key, place, power = np.zeros(k, dtype=np.int64), 1, perms
     for r in range(1, n + 1):
-        lengths[(power == points) & (lengths == 0)] = r
+        on_cycles = (power == points) & left
+        key += np.count_nonzero(on_cycles, axis=1) // r * place
+        left ^= on_cycles
+        place *= n // r + 1
         if r < n:
             power = np.take_along_axis(perms, power, axis=1)
-    cells = (np.arange(k)[:, None] * n + lengths - 1).ravel()
-    on_cycles = np.bincount(cells, minlength=k * n).reshape(k, n)
-    types, labels, _ = unique_rows(on_cycles // np.arange(1, n + 1))
-    return [CycleType(tuple(row)) for row in types.tolist()], labels
+    _, first, labels = np.unique(key, return_index=True, return_inverse=True)
+    return [CycleType.from_permutation(row) for row in perms[first].tolist()], labels.reshape(-1)
 
 
 def _words(states: int) -> int:
@@ -304,11 +334,11 @@ def fixed_point_report(
     """Scan every action pair naively and average the fixed-point counts.
 
     A pair's count is the product of its two halves' _fixed_counts, over
-    automorphism batches and permutations PROFILE_CHUNK // (8n) at a time in
-    permutations_of order.  Counts must agree within each cycle type, across
-    permutation chunks too, and their total must divide exactly.  The naive
-    work limit takes |Aut(G)| from automorphism_count, so an oversized scan
-    is refused before any automorphism is listed.
+    automorphism batches and the permutation_chunks of PROFILE_CHUNK // (8n)
+    rows.  Counts must agree within each cycle type, across chunks too, and
+    their total must divide exactly.  The naive work limit takes |Aut(G)|
+    from automorphism_count, so an oversized scan is refused before any
+    automorphism is listed.
     """
     _check_tuple_length(n)
     size = group.order ** (2 * n)
@@ -321,9 +351,7 @@ def fixed_point_report(
     columns: dict[CycleType, int] = {}
     table = np.full((len(matrices), partition_count(n)), -1, dtype=np.int64)
     total = 0
-    perms = permutations_of(n)
-    while chunk := list(itertools.islice(perms, max(1, PROFILE_CHUNK // (8 * n)))):
-        sigmas = np.array(chunk, dtype=np.intp)
+    for sigmas in permutation_chunks(n, max(1, PROFILE_CHUNK // (8 * n))):
         ctypes, labels = permutation_cycle_types(sigmas)
         col = np.array([columns.setdefault(ctype, len(columns)) for ctype in ctypes])[labels]
         free, batch, per_pass = _scan_plan(group, n, len(matrices), len(sigmas))

@@ -43,7 +43,6 @@ from .abelian import (
     automorphism_chunks,
     enumerate_automorphisms,
     kernel_exponents,
-    rank_mod_p_batch,
     unique_rows,
 )
 from .budget import Budget, DEFAULT_BUDGET, IntegralityError, exact_quotient
@@ -237,7 +236,7 @@ PrimeCensus = tuple[int, Mapping[tuple[int, ...], int]]
 # Cycle types evaluated together by census_sum_by_cycle_type.
 TYPE_CHUNK = 64
 # Cycle-type steps that one profile step costs, as timed in cheaper_census_sum.
-PROFILE_STEP_COST = 3
+PROFILE_STEP_COST = 2
 # Matrix cells (automorphisms x powers x s**2) per kernel_exponents stack.
 SMITH_CELLS = 1 << 18
 
@@ -336,8 +335,8 @@ def cheaper_census_sum(
 
     The estimates count steps as the two evaluators' docstrings do.  Timed
     on 54 cyclic cases (orders 12 to 720720, n = 6..30; 2-vCPU Xeon, Python
-    3.11), a profile step took a median of 0.45 us and a cycle-type step
-    0.15 us, so a profile step counts as PROFILE_STEP_COST of them.
+    3.11), a profile step took a median of 0.21 us and a cycle-type step
+    0.085 us, so a profile step counts as PROFILE_STEP_COST of them.
     """
     sizes = [len(census) for _, census in censuses]
     by_profile = PROFILE_STEP_COST * math.prod(sizes) * n * n // 2
@@ -382,7 +381,7 @@ def enumerate_invertible_matrices(
     """All invertible s x s matrices over the p-element field.
 
     The count is checked against the closed-form group order, so this
-    doubles as a consistency gate for the batched rank test.
+    doubles as a consistency gate for the batched kernel test.
     """
     return [
         tuple(tuple(row) for row in mat)
@@ -398,19 +397,19 @@ def matrix_scan_census(
 
     A matrix power A**r fixes p**c_r vectors, c_r = corank(A**r - I).  The
     matrices come from the batched scan of all p**(s*s) candidates, and
-    their powers and coranks are computed batch by batch.
+    their powers and coranks (kernel_exponents) are computed batch by batch.
     """
     if s < 1:
         raise ValueError(f"rank must be >= 1, got {s}")
     if n < 1:
         raise ValueError(f"tuple length must be >= 1, got {n}")
     census: Counter = Counter()
-    identity = np.eye(s, dtype=np.int64)
+    space, identity = AbelianGroup(((p, 1),) * s), np.eye(s, dtype=np.int64)
     for mats in _invertible_matrix_chunks(p, s, budget):
         coranks = np.empty((len(mats), n), dtype=np.int64)
         power = mats
         for r in range(n):
-            coranks[:, r] = s - rank_mod_p_batch(power - identity, p)
+            coranks[:, r] = kernel_exponents(space, power - identity)
             if r + 1 < n:
                 power = power @ mats % p
         rows, _, counts = unique_rows(coranks)

@@ -15,6 +15,8 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterator, Mapping, Sequence
 
+from .budget import IntegralityError
+
 
 def is_prime(n: int) -> bool:
     """Trial-division primality test, adequate for desk-scale moduli."""
@@ -204,29 +206,24 @@ def cycle_index_sum(census: Mapping[Sequence[int], int], n: int) -> int:
     symmetric group on n points, so n! * Z_n(a) sums prod_r a_r**m_r over
     all permutations with m_r cycles of length r.  With a_r = f_r**2 this is
     the fixed-configuration total of one automorphism over all
-    permutations.  W_k = k! * Z_k obeys the all-integer recurrence
-    W_0 = 1, W_k = sum_{r<=k} a_r * (k-1)!/(k-r)! * W_{k-r}, which takes
-    O(n**2) products per distinct profile instead of one per cycle type.
+    permutations.  U_k = n! * Z_k, an integer, obeys U_0 = n! and
+    k * U_k = sum_{r<=k} a_r * U_{k-r}, each division checked: O(n**2)
+    products per distinct profile instead of one per cycle type.
     """
     if n < 1:
         raise ValueError(f"cycle_index_sum needs n >= 1, got {n}")
-    # falling[k][r - 1] = (k-1)!/(k-r)! for 1 <= r <= k.
-    falling: list[list[int]] = [[]]
-    for k in range(1, n + 1):
-        row = [1]
-        for r in range(1, k):
-            row.append(row[-1] * (k - r))
-        falling.append(row)
-    total = 0
+    total, start = 0, math.factorial(n)
     for profile, mult in census.items():
         if len(profile) != n:
             raise ValueError(f"profile {tuple(profile)} does not have length {n}")
         a = [int(f) ** 2 for f in profile]
-        w = [1]
+        u = [start]
         for k in range(1, n + 1):
-            row = falling[k]
-            w.append(sum(row[r - 1] * a[r - 1] * w[k - r] for r in range(1, k + 1)))
-        total += int(mult) * w[n]
+            term, remainder = divmod(sum(a[r] * u[k - 1 - r] for r in range(k)), k)
+            if remainder:
+                raise IntegralityError(f"U_{k} of profile {tuple(profile)} is not integral")
+            u.append(term)
+        total += int(mult) * u[n]
     return total
 
 

@@ -33,7 +33,6 @@ from escount.abelian import (
     parse_group,
     pullback_character,
     rank_mod_p,
-    rank_mod_p_batch,
 )
 from escount.budget import DEFAULT_BUDGET, Budget, BudgetExceededError, IntegralityError
 from escount.burnside import fixed_count_census, fixed_point_report
@@ -222,7 +221,8 @@ def automorphisms_by_image_sort(group):
 def automorphisms_by_candidate_filter(group):
     """Reference for automorphism_chunks: walk every admissible matrix in
     itertools.product order over its cells and keep it iff the block of
-    each run of equal factors has full rank mod p (Hillar and Rhea)."""
+    each run of equal factors has full rank mod p (Hillar and Rhea), by the
+    scalar rank_mod_p on each distinct block."""
     s, mods = group.rank, group.moduli
     cells = [(i, j, math.gcd(mods[i], mods[j])) for i in range(s) for j in range(s)]
     total = math.prod(c for *_, c in cells)
@@ -234,8 +234,10 @@ def automorphisms_by_candidate_filter(group):
         cand[:, i, j] = idx // stride % c * (mods[i] // c)
     for p, e in dict.fromkeys(group.factors):
         start, size = group.factors.index((p, e)), group.factors.count((p, e))
-        block = cand[:, start : start + size, start : start + size]
-        cand = cand[rank_mod_p_batch(block, p) == size]
+        block = cand[:, start : start + size, start : start + size] % p
+        blocks, inverse = np.unique(block.reshape(len(cand), -1), axis=0, return_inverse=True)
+        ranks = np.array([rank_mod_p(b.reshape(size, size).tolist(), p) for b in blocks])
+        cand = cand[ranks[inverse.reshape(-1)] == size]
     return cand
 
 
@@ -255,11 +257,11 @@ def test_automorphism_lister_rejects_no_candidate(monkeypatch):
     # a filter over all candidates would reduce 2^20.
     rows = []
 
-    def counted(stack, p):
+    def counted(group, stack):
         rows.append(len(stack))
-        return rank_mod_p_batch(stack, p)
+        return kernel_exponents(group, stack)
 
-    monkeypatch.setattr(abelian, "rank_mod_p_batch", counted)
+    monkeypatch.setattr(abelian, "kernel_exponents", counted)
     group = parse_group("C2^2xC4^2")
     assert endo_candidate_count(group) == 1 << 20
     listed = sum(len(stack) for stack in automorphism_chunks(group))
@@ -537,10 +539,8 @@ def test_rank_mod_p_row_span_oracle():
             assert p ** rank_mod_p(mat, p) == span_size(mat, p)
 
 
-def test_rank_mod_p_batch_matches_rank_mod_p():
-    import itertools
-    import random
-
+def test_kernel_exponents_give_coranks_mod_p():
+    # On C_p^s the kernel exponent of a matrix is its corank mod p.
     stacks = []
     for p in (2, 3):
         for s in (2, 3):
@@ -557,10 +557,11 @@ def test_rank_mod_p_batch_matches_rank_mod_p():
         sample[100:110, 3] = 0
         stacks.append((p, sample))
     for p, stack in stacks:
-        batched = rank_mod_p_batch(stack, p)
-        assert batched.tolist() == [rank_mod_p(mat.tolist(), p) for mat in stack]
-        assert (batched < stack.shape[1]).any()
-    assert rank_mod_p_batch(np.zeros((0, 3, 3), dtype=np.int64), 5).shape == (0,)
+        s = stack.shape[1]
+        coranks = kernel_exponents(AbelianGroup(((p, 1),) * s), stack)
+        assert coranks.tolist() == [s - rank_mod_p(mat.tolist(), p) for mat in stack]
+        assert (coranks > 0).any()
+    assert kernel_exponents(parse_group("C5^3"), np.zeros((0, 3, 3), dtype=np.int64)).shape == (0,)
 
 
 def endomorphism_stack(group, limit, rng):

@@ -31,6 +31,7 @@ from escount.burnside import (
     orbit_count_naive,
     orbit_enumerate,
     orbit_sizes,
+    permutation_chunks,
     permutation_cycle_types,
     permutations_of,
     popcount,
@@ -95,6 +96,8 @@ def test_permutation_helpers():
     assert identity_permutation(3) == (0, 1, 2)
     assert list(permutations_of(2)) == [(0, 1), (1, 0)]
     assert compose_permutations((1, 2, 0), (0, 2, 1)) == (1, 0, 2)
+    with pytest.raises(ValueError, match="127"):
+        next(permutation_chunks(128, 24))
 
 
 def test_act_doubling_on_three_torsion():
@@ -397,14 +400,32 @@ def test_fixed_point_report_matches_state_images_per_pair(group, n):
             assert report.counts[key] == fixed_points_naive((auto, sigma)), (a_idx, sigma)
 
 
+@pytest.mark.parametrize("n", range(1, 10))
+def test_permutation_chunks_list_permutations_of_in_order(n):
+    expected = np.array(list(permutations_of(n)), dtype=np.int8).reshape(-1, n)
+    sizes = (1, 5, 7, 24, burnside.PROFILE_CHUNK // (8 * n))
+    # One-row chunks take about 8 us each, 2.8 s for the 9! of S_9; n = 8
+    # already runs them under 7-point prefixes.
+    for size in sizes[1:] if n == 9 else sizes:
+        chunks = list(permutation_chunks(n, size))
+        assert all(chunk.dtype == np.int8 and 1 <= len(chunk) <= size for chunk in chunks)
+        assert np.array_equal(np.concatenate(chunks), expected), size
+
+
 @pytest.mark.parametrize("n", range(1, 8))
 def test_permutation_cycle_types_match_from_permutation(n):
     sigmas = list(permutations_of(n))
     types, labels = permutation_cycle_types(np.array(sigmas))
     assert len(set(types)) == len(types) == len(list(cycle_types(n)))
-    assert [types[label] for label in labels] == [
-        CycleType.from_permutation(sigma) for sigma in sigmas
-    ]
+    expected = [CycleType.from_permutation(sigma) for sigma in sigmas]
+    assert [types[label] for label in labels] == expected
+    # The int8 chunks of the naive scan, labelled chunk by chunk.
+    found = []
+    for chunk in permutation_chunks(n, 24):
+        types, labels = permutation_cycle_types(chunk)
+        assert len(set(types)) == len(types)
+        found += [types[label] for label in labels]
+    assert found == expected
 
 
 def test_popcount_matches_bin_on_every_byte():
@@ -489,6 +510,22 @@ def test_fixed_point_report_memory_is_bounded_by_the_chunk(monkeypatch):
         tracemalloc.stop()
     assert fixed == expected
     assert peak < 128 * 1024, peak
+
+
+def test_naive_scan_memory_on_s7():
+    """C2 at n=7 scans 5,040 permutations in one chunk.  As Python tuples,
+    packed into an intp table and keyed by 56-byte rows, they peaked at
+    2.6-2.9 MB; as int8 rows with one int64 key each, at about 1.0 MB."""
+    group = parse_group("C2")
+    enumerate_automorphisms(group)
+    tracemalloc.start()
+    try:
+        report = fixed_point_report(group, 7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.orbit_count == 120
+    assert peak < 1.5 * 2**20, peak
 
 
 @pytest.mark.parametrize("spec", ["C4", "C2^2"])
