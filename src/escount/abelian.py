@@ -10,17 +10,19 @@ with entry ``(i, j)`` constrained to be a multiple of
 ``m_i / gcd(m_i, m_j)`` so that the map respects factor orders.
 
 The automorphisms of a group are listed from its GL(b, p) blocks
-(automorphism_chunks) and cached as one read-only (k, s, s) int64 stack,
-sized in advance by the closed-form order (automorphism_count) and
-wrapped in an Automorphisms sequence: counting code reads the stack, and an
-EndoMatrix is built, and checked, only when an item is taken.
+(automorphism_chunks).  The element-image methods read them cached as one
+read-only (k, s, s) int64 stack, sized in advance by the closed-form order
+(automorphism_count) and wrapped in an Automorphisms sequence, whose
+EndoMatrix items are built, and checked, only when taken.  The closed
+form's census of a p-group (kernel_census) streams the chunks instead and
+caches nothing.
 """
 from __future__ import annotations
 
 import itertools
 import math
 import operator
-from collections import abc
+from collections import Counter, abc
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Iterable, Iterator, Sequence
@@ -266,14 +268,34 @@ MATRIX_CHUNK = 1 << 14
 def general_linear_chunks(p: int, b: int) -> Iterator[np.ndarray]:
     """The matrices of GL(b, p), entries in [0, p), as (k, b, b) stacks in
     itertools.product order over the entries: kernel_exponents keeps the
-    invertible ones among the p**(b*b) candidates, MATRIX_CHUNK at a time."""
+    invertible ones among the p**(b*b) candidates, MATRIX_CHUNK at a time
+    (for b = 1, the nonzero ones)."""
     space = AbelianGroup(((p, 1),) * b)
     total = p ** (b * b)
     place = p ** np.arange(b * b - 1, -1, -1, dtype=np.int64)
     for lo in range(0, total, MATRIX_CHUNK):
         idx = np.arange(lo, min(total, lo + MATRIX_CHUNK), dtype=np.int64)
         cand = (idx[:, None] // place % p).reshape(-1, b, b)
-        yield cand[kernel_exponents(space, cand) == 0]
+        yield cand[idx % p != 0 if b == 1 else kernel_exponents(space, cand) == 0]
+
+
+def _candidate_cells(group: AbelianGroup) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The candidate layout as three (s, s) int64 arrays: each cell's digit
+    count c = gcd(m_i, m_j), the step m_i / c between its entries, and its
+    stride, the product of the counts of the cells after it in row order."""
+    mods = np.array(group.moduli, dtype=np.int64)
+    counts = np.gcd.outer(mods, mods)
+    strides = np.ones(counts.size, dtype=np.int64)
+    strides[:-1] = np.cumprod(counts.ravel()[:0:-1])[::-1]
+    return counts, mods[:, None] // counts, strides.reshape(counts.shape)
+
+
+def _decode(
+    index: np.ndarray, counts: np.ndarray, steps: np.ndarray, strides: np.ndarray
+) -> np.ndarray:
+    """The (k, s, s) endomorphism matrices at the given candidate indices,
+    in the layout of _candidate_cells."""
+    return index[:, None, None] // strides % counts * steps
 
 
 def automorphism_chunks(group: AbelianGroup) -> Iterator[np.ndarray]:
@@ -291,30 +313,94 @@ def automorphism_chunks(group: AbelianGroup) -> Iterator[np.ndarray]:
     if group.is_elementary():
         yield from general_linear_chunks(group.factors[0][0], group.rank)
         return
-    s, mods = group.rank, group.moduli
-    cells = [(i, j, math.gcd(mods[i], mods[j])) for i in range(s) for j in range(s)]
-    strides = [math.prod(c for *_, c in cells[t + 1 :]) for t in range(len(cells))]
-    digits = [np.arange(c, dtype=np.int64) for *_, c in cells]
+    s = group.rank
+    layout = _candidate_cells(group)
+    counts, _, strides = layout
+    digits = [np.arange(c, dtype=np.int64) for c in counts.ravel().tolist()]
     parts = []
     for p, e in dict.fromkeys(group.factors):
         start, b = group.factors.index((p, e)), group.factors.count((p, e))
-        block = [i * s + j for i in range(start, start + b) for j in range(start, start + b)]
-        weights = np.array([strides[t] for t in block], dtype=np.int64)
-        gl = [mats.reshape(-1, b * b) @ weights for mats in general_linear_chunks(p, b)]
+        block = strides[start : start + b, start : start + b]
+        gl = [mats.reshape(-1, b * b) @ block.ravel() for mats in general_linear_chunks(p, b)]
         parts.append(np.concatenate(gl))
-        for t in block:
-            digits[t] = p * np.arange(p ** (e - 1), dtype=np.int64)
-    parts += [d * stride for d, stride in zip(digits, strides) if len(d) > 1]
+        for i in range(start, start + b):
+            for j in range(start, start + b):
+                digits[i * s + j] = p * np.arange(p ** (e - 1), dtype=np.int64)
+    parts += [d * stride for d, stride in zip(digits, strides.ravel().tolist()) if len(d) > 1]
     index = np.zeros(1, dtype=np.int64)
     for part in parts:
         index = (index[:, None] + part).ravel()
     index.sort()
     for lo in range(0, len(index), MATRIX_CHUNK):
-        idx = index[lo : lo + MATRIX_CHUNK]
-        cand = np.empty((len(idx), s, s), dtype=np.int64)
-        for (i, j, c), stride in zip(cells, strides):
-            cand[:, i, j] = idx // stride % c * (mods[i] // c)
-        yield cand
+        yield _decode(index[lo : lo + MATRIX_CHUNK], *layout)
+
+
+def candidate_space(group: AbelianGroup) -> int:
+    """The number prod gcd(m_i, m_j) of candidate endomorphism matrices."""
+    mods = group.moduli
+    return math.prod(math.gcd(a, b) for a in mods for b in mods)
+
+
+def kernel_census(
+    group: AbelianGroup, n: int, budget: Budget = DEFAULT_BUDGET
+) -> dict[tuple[int, ...], int]:
+    """The automorphisms A of a p-group tallied by exponent profile
+    (c_1, ..., c_n), where A**r fixes p**c_r elements: one kernel_exponents
+    row per automorphism, and nothing cached.
+
+    Every A**r is itself an automorphism, with an index in the candidate
+    space of automorphism_chunks.  So one pass over the listed chunks
+    stores c(B) for each automorphism B in an int8 table over that space,
+    -1 where none is listed, and checks the number listed against
+    automorphism_count.  A second pass decodes the listed indices from the
+    table and reads c(A**r) for r = 2..n at the index of A**r (row i
+    reduced mod m_i, cell digit entry // (m_i / c)); a power that lands on
+    -1 raises IntegralityError.  At n = 1 the first pass is the census and
+    no table is built.  max_endo_candidates bounds the candidate space, and
+    so the table's bytes.
+    """
+    space = candidate_space(group)
+    budget.check("max_endo_candidates", space)
+    s, p = group.rank, group.factors[0][0]
+    identity = np.eye(s, dtype=np.int64)
+    layout = _candidate_cells(group)
+    _, steps, strides = layout
+    # In a p-group, m_i divides the stride of every cell (i, j < s - 1) and
+    # the step of (i, s - 1) is 1, so digit * stride = entry * weight.
+    weights = (strides // steps).ravel()
+    table = np.full(space, -1, dtype=np.int8) if n > 1 else None
+    census: Counter = Counter()
+    found = 0
+    for chunk in automorphism_chunks(group):
+        exponents = kernel_exponents(group, chunk - identity).astype(np.int8)
+        found += len(chunk)
+        if n > 1:
+            table[chunk.reshape(-1, s * s) @ weights] = exponents
+        else:
+            tally_rows(census, exponents[:, None])
+    expected = automorphism_count(group)
+    if found != expected:
+        raise IntegralityError(f"listed {found} automorphisms of {group}, expected {expected}")
+    if n == 1:
+        return dict(census)
+    mods = np.array(group.moduli, dtype=np.int64)[:, None]
+    # Row i modulo m_i; for p = 2 a mask is faster.
+    reduce, by = (np.bitwise_and, mods - 1) if p == 2 else (np.remainder, mods)
+    # Candidates per span: about MATRIX_CHUNK of them are listed.
+    span = MATRIX_CHUNK * max(1, space // found)
+    for lo in range(0, space, span):
+        index = lo + np.flatnonzero(table[lo : lo + span] >= 0)
+        matrices = _decode(index, *layout)
+        profiles = np.empty((len(index), n), dtype=np.int8)
+        profiles[:, 0] = table[index]
+        power = matrices
+        for r in range(1, n):
+            power = reduce(power @ matrices, by)
+            profiles[:, r] = table[power.reshape(-1, s * s) @ weights]
+        if (profiles < 0).any():
+            raise IntegralityError(f"a power of an automorphism of {group} is not listed")
+        tally_rows(census, profiles)
+    return dict(census)
 
 
 def automorphism_count(group: AbelianGroup) -> int:
@@ -373,8 +459,7 @@ def enumerate_automorphisms(
     themselves.  The stack is cached by group alone, so every budget that
     admits the group reads the same entry.
     """
-    mods = group.moduli
-    budget.check("max_endo_candidates", math.prod(math.gcd(a, b) for a in mods for b in mods))
+    budget.check("max_endo_candidates", candidate_space(group))
     return _automorphisms(group)
 
 
@@ -508,10 +593,17 @@ def unique_rows(table: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The distinct rows of a 2-d integer table, each row's index among
     them, and how often each occurs: one opaque key per row makes this a 1-d
     np.unique, far cheaper than axis=0.  Rows come in the keys' byte order."""
-    table = np.ascontiguousarray(table, dtype=np.int64)
-    keys = table.view(np.dtype((np.void, 8 * table.shape[1]))).ravel()
+    table = np.ascontiguousarray(table)
+    keys = table.view(np.dtype((np.void, table.itemsize * table.shape[1]))).ravel()
     _, first, labels, counts = np.unique(keys, True, True, True)  # index, inverse, counts
     return table[first], labels.reshape(-1), counts
+
+
+def tally_rows(census: Counter, table: np.ndarray) -> None:
+    """Add each distinct row of a 2-d integer table to `census` as a tuple
+    key, counted as often as it occurs."""
+    rows, _, counts = unique_rows(table)
+    census.update(dict(zip(map(tuple, rows.tolist()), counts.tolist())))
 
 
 def kernel_exponents(group: AbelianGroup, stack: np.ndarray) -> np.ndarray:

@@ -57,11 +57,15 @@ class Budget:
                            group whose automorphisms are listed; the lister
                            walks only its GL(b, p) blocks, but refusals stay
                            priced by the whole space.  closed_count applies
-                           it to each Sylow factor it lists, not to the group.
-    max_state_space:       largest number of configurations |G|^(2n) for the
-                           naive fixed-point count and for orbit listing.
-    max_naive_work:        largest total workload (group-pair count times
-                           state-space size) for a full naive orbit count.
+                           it to each Sylow factor it lists, not to the group,
+                           and so it also bounds the bytes of the int8
+                           exponent table kept over that space.
+    max_state_space:       largest number of tuples |G|^n of one half in the
+                           naive scan, and of configurations |G|^(2n) for the
+                           one-pair naive count and for orbit listing.
+    max_naive_work:        largest total workload of a full naive orbit
+                           count: group-pair count |Aut(G)| * n! times the
+                           2 * |G|^n tuples each pair's two halves walk.
     max_matrix_candidates: largest number of candidate matrices p^(s*s)
                            scanned when listing an invertible matrix group,
                            and largest bound p^s on the conjugacy classes

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from collections import Counter
 from dataclasses import dataclass
 from typing import Iterator
@@ -46,7 +47,7 @@ from .abelian import (
     enumerate_automorphisms,
     invert_automorphism,
     pullback_character,
-    unique_rows,
+    tally_rows,
 )
 from .budget import Budget, DEFAULT_BUDGET, IntegralityError, exact_quotient
 from .numtheory import CycleType, cycle_index_sum, partition_count
@@ -246,22 +247,30 @@ def permutation_cycle_types(perms: np.ndarray) -> tuple[list[CycleType], np.ndar
     the index of each row's type among them.
 
     A point's cycle length is the least r with sigma**r fixing it; the
-    powers are at most n - 1 gathers over the whole table.  The number of
-    r-cycles, at most n // r, is digit r of a mixed-radix int64 key.
+    powers for r <= n // 2 are fewer than n // 2 gathers over the whole
+    table.  The points left after that lie on one cycle, as long as their
+    count.  The number of r-cycles, at most n // r, is digit r of a
+    mixed-radix int64 key.
     """
     k, n = perms.shape
-    if math.prod(n // r + 1 for r in range(1, n + 1)) >= 1 << 63:
+    radix = [n // r + 1 for r in range(1, n + 1)]
+    if math.prod(radix) >= 1 << 63:
         raise ValueError(f"cycle types of S_{n} do not fit in int64 keys")
+    places = list(itertools.accumulate([1] + radix[:-1], operator.mul))
+    half = n // 2
     points = np.arange(n, dtype=perms.dtype)
     left = np.ones((k, n), dtype=bool)
-    key, place, power = np.zeros(k, dtype=np.int64), 1, perms
-    for r in range(1, n + 1):
+    key, power = np.zeros(k, dtype=np.int64), perms
+    for r in range(1, half + 1):
         on_cycles = (power == points) & left
-        key += np.count_nonzero(on_cycles, axis=1) // r * place
+        key += np.count_nonzero(on_cycles, axis=1) // r * places[r - 1]
         left ^= on_cycles
-        place *= n // r + 1
-        if r < n:
+        if r < half:
             power = np.take_along_axis(perms, power, axis=1)
+    # One cycle of length L > n // 2, or none (L = 0).
+    long_cycle = np.zeros(n + 1, dtype=np.int64)
+    long_cycle[half + 1 :] = places[half:]
+    key += long_cycle[np.count_nonzero(left, axis=1)]
     _, first, labels = np.unique(key, return_index=True, return_inverse=True)
     return [CycleType.from_permutation(row) for row in perms[first].tolist()], labels.reshape(-1)
 
@@ -336,14 +345,16 @@ def fixed_point_report(
     A pair's count is the product of its two halves' _fixed_counts, over
     automorphism batches and the permutation_chunks of PROFILE_CHUNK // (8n)
     rows.  Counts must agree within each cycle type, across chunks too, and
-    their total must divide exactly.  The naive work limit takes |Aut(G)|
-    from automorphism_count, so an oversized scan is refused before any
+    their total must divide exactly.  The limits price what the scan walks:
+    max_state_space the |G|**n tuples of one half, max_naive_work the
+    2 * |G|**n tuples of every pair.  The work limit takes |Aut(G)| from
+    automorphism_count, so an oversized scan is refused before any
     automorphism is listed.
     """
     _check_tuple_length(n)
-    size = group.order ** (2 * n)
-    budget.check("max_state_space", size)
-    budget.check("max_naive_work", automorphism_count(group) * math.factorial(n) * size)
+    half = group.order**n
+    budget.check("max_state_space", half)
+    budget.check("max_naive_work", automorphism_count(group) * math.factorial(n) * 2 * half)
     budget.check("max_group_order", group.order)
     matrices = enumerate_automorphisms(group, budget).matrices
 
@@ -416,9 +427,7 @@ def fixed_count_census(
     chunk = _batch_size(group)
     census: Counter = Counter()
     for lo in range(0, len(matrices), chunk):
-        profiles = fixed_count_profiles(group, matrices[lo : lo + chunk], n)
-        rows, _, counts = unique_rows(profiles)
-        census.update(dict(zip(map(tuple, rows.tolist()), counts.tolist())))
+        tally_rows(census, fixed_count_profiles(group, matrices[lo : lo + chunk], n))
     return dict(census)
 
 

@@ -7,15 +7,15 @@ exponents of their powers' fixed-point counts, listed in the cheapest way
 its kind allows: a cyclic factor from its unit-order shapes (k, d) and
 numtheory.shape_orders, the map delta_vector inverts, never listing units;
 an elementary factor C_p^s from the conjugacy classes of GL(s, p)
-(glclasses), never listing matrices; any other factor by scanning its
-automorphisms, so max_endo_candidates applies to that factor alone, and
-reading each power's fixed count p**c from a Smith form
-(abelian.kernel_exponents).  No element is mapped, so max_group_order does
-not apply and the congruence method's element images stay a separate
-witness.  The per-prime censuses are evaluated either profile by profile
-through the shared cycle-index kernel or cycle type by cycle type,
-whichever is estimated cheaper, and the total is divided by n! * |Aut(G)|
-once.
+(glclasses), never listing matrices; any other factor by streaming its
+automorphisms, so max_endo_candidates applies to that factor alone, with
+one Smith form per automorphism (abelian.kernel_census), each power's
+fixed count p**c read from a table of those.  No element is mapped, so
+max_group_order does not apply and the congruence method's element images
+stay a separate witness.  The per-prime censuses are evaluated either
+profile by profile through the shared cycle-index kernel or cycle type by
+cycle type, whichever is estimated cheaper, and the total is divided by
+n! * |Aut(G)| once.
 
 The paper's forms stay independent of that census and serve as witnesses:
 for cyclic prime-power groups the Burnside average collapses to a sum over
@@ -41,9 +41,9 @@ import numpy as np
 from .abelian import (
     AbelianGroup,
     automorphism_chunks,
-    enumerate_automorphisms,
+    kernel_census,
     kernel_exponents,
-    unique_rows,
+    tally_rows,
 )
 from .budget import Budget, DEFAULT_BUDGET, IntegralityError, exact_quotient
 from .glclasses import general_linear_order, gl_class_census
@@ -237,8 +237,6 @@ PrimeCensus = tuple[int, Mapping[tuple[int, ...], int]]
 TYPE_CHUNK = 64
 # Cycle-type steps that one profile step costs, as timed in cheaper_census_sum.
 PROFILE_STEP_COST = 2
-# Matrix cells (automorphisms x powers x s**2) per kernel_exponents stack.
-SMITH_CELLS = 1 << 18
 
 
 def unit_orders(p: int, e: int) -> dict[tuple[int, ...], int]:
@@ -412,8 +410,7 @@ def matrix_scan_census(
             coranks[:, r] = kernel_exponents(space, power - identity)
             if r + 1 < n:
                 power = power @ mats % p
-        rows, _, counts = unique_rows(coranks)
-        census.update(dict(zip(map(tuple, rows.tolist()), counts.tolist())))
+        tally_rows(census, coranks)
     return dict(census)
 
 
@@ -441,30 +438,17 @@ def _sylow_census(
     """Aut of a p-group tallied by exponent profile, by the lister for its kind.
 
     Cyclic: the unit census.  Elementary: the GL(s, p) class census.  Any
-    other p-group: its automorphisms are listed, and the n powers A**r of
-    SMITH_CELLS // (n s**2) of them at a time, taken modulo p**E, go to
-    kernel_exponents as one stack of A**r - I; no element is ever mapped.
+    other p-group: abelian.kernel_census streams its automorphisms, takes
+    one Smith form per automorphism and reads each power's from a table
+    over the candidate space; no element is ever mapped, and nothing is
+    cached.
     """
     p, e = sylow.factors[0]
     if sylow.is_cyclic():
         return unit_census(p, e, n)
     if sylow.is_elementary():
         return gl_class_census(p, sylow.rank, n, budget)
-    matrices = enumerate_automorphisms(sylow, budget).matrices
-    s, q = sylow.rank, max(sylow.moduli)
-    batch = max(1, SMITH_CELLS // (n * s * s))
-    census: Counter = Counter()
-    for lo in range(0, len(matrices), batch):
-        mats = matrices[lo : lo + batch]
-        powers = np.empty((n,) + mats.shape, dtype=np.int64)
-        powers[0] = mats
-        for r in range(1, n):
-            powers[r] = powers[r - 1] @ mats % q
-        powers -= np.eye(s, dtype=np.int64)
-        exponents = kernel_exponents(sylow, powers.reshape(-1, s, s)).reshape(n, -1)
-        rows, _, counts = unique_rows(exponents.T)
-        census.update(dict(zip(map(tuple, rows.tolist()), counts.tolist())))
-    return dict(census)
+    return kernel_census(sylow, n, budget)
 
 
 def closed_count(group: AbelianGroup, n: int, budget: Budget = DEFAULT_BUDGET) -> int:

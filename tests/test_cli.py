@@ -274,9 +274,10 @@ def test_table_requires_selection():
 
 
 def test_budget_env_var_limits_naive(capsys, monkeypatch):
+    # The naive scan walks 4**4 = 256 tuples per half, over the cap of 100.
     monkeypatch.setenv("ESC_BUDGET", "100")
     code, _, err = run_cli(
-        ["count", "--group", "C4", "--n", "2", "--method", "naive"], capsys
+        ["count", "--group", "C4", "--n", "4", "--method", "naive"], capsys
     )
     assert code == cli.EXIT_BUDGET
     assert "max_state_space" in err

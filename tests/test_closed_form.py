@@ -504,18 +504,72 @@ def test_closed_count_budget_applies_to_each_scanned_sylow_factor():
 SMITH_GROUPS = ("C2xC4", "C3xC9", "C4xC4", "C2^2xC8", "C2xC4xC8", "C8^2xC2", "C3^2xC9")
 
 
-@pytest.mark.parametrize("spec", SMITH_GROUPS)
-def test_smith_census_matches_the_element_image_census(spec):
-    group = parse_group(spec)
+def _element_image_census(group, n):
+    """The fixed-count census from element images, as exponent profiles."""
     p = group.factors[0][0]
     images = Budget(max_group_order=group.order)
     exponent = {p**c: c for c in range(sum(e for _, e in group.factors) + 1)}
+    return {
+        tuple(exponent[f] for f in profile): count
+        for profile, count in burnside.fixed_count_census(group, n, images).items()
+    }
+
+
+@pytest.mark.parametrize("spec", SMITH_GROUPS)
+def test_smith_census_matches_the_element_image_census(spec):
+    group = parse_group(spec)
     for n in range(1, 5):
-        expected = {
-            tuple(exponent[f] for f in profile): count
-            for profile, count in burnside.fixed_count_census(group, n, images).items()
-        }
-        assert closed_form._sylow_census(group, n, Budget()) == expected, n
+        assert closed_form._sylow_census(group, n, Budget()) == _element_image_census(
+            group, n
+        ), n
+
+
+@pytest.mark.parametrize("spec,n", [("C3xC9", 25), ("C2xC4xC8", 8)])
+def test_smith_census_matches_the_element_image_census_at_long_n(spec, n):
+    """Powers up to A**n are read from the candidate table, so a long n
+    reaches powers far past the automorphisms' own chunks."""
+    group = parse_group(spec)
+    assert closed_form._sylow_census(group, n, Budget()) == _element_image_census(group, n)
+
+
+def test_kernel_census_eliminates_each_automorphism_once(monkeypatch):
+    group = parse_group("C2xC4xC8")
+    eliminated = []
+    real = abelian.kernel_exponents
+
+    def counted(space, stack):
+        if space == group:
+            eliminated.append(len(stack))
+        return real(space, stack)
+
+    monkeypatch.setattr(abelian, "kernel_exponents", counted)
+    census = abelian.kernel_census(group, 5)
+    assert sum(eliminated) == sum(census.values()) == abelian.automorphism_count(group)
+
+
+def test_closed_count_caches_no_automorphism():
+    abelian.enumerate_automorphisms.cache_clear()
+    for spec in ("C2xC4xC8", "C4^3", "C3^2xC9"):
+        closed_count(parse_group(spec), 3)
+    assert abelian.enumerate_automorphisms.cache_info().currsize == 0
+
+
+def test_kernel_census_refuses_a_power_missing_from_the_table(monkeypatch):
+    """With the identity left out of the listing, and the expected number
+    lowered to match, the square of an involution lands on no entry."""
+    group = parse_group("C2xC4xC8")
+    scan, order = abelian.automorphism_chunks, abelian.automorphism_count(group)
+    identity = np.eye(group.rank, dtype=np.int64)
+
+    def without_identity(space):
+        for chunk in scan(space):
+            yield chunk[~(chunk == identity).all(axis=(1, 2))]
+
+    monkeypatch.setattr(abelian, "automorphism_chunks", without_identity)
+    monkeypatch.setattr(abelian, "automorphism_count", lambda space: order - 1)
+    assert sum(abelian.kernel_census(group, 1).values()) == order - 1
+    with pytest.raises(IntegralityError, match="not listed"):
+        abelian.kernel_census(group, 2)
 
 
 def test_closed_count_maps_no_element_of_a_scanned_factor(monkeypatch):
