@@ -268,15 +268,14 @@ MATRIX_CHUNK = 1 << 14
 def general_linear_chunks(p: int, b: int) -> Iterator[np.ndarray]:
     """The matrices of GL(b, p), entries in [0, p), as (k, b, b) stacks in
     itertools.product order over the entries: kernel_exponents keeps the
-    invertible ones among the p**(b*b) candidates, MATRIX_CHUNK at a time
-    (for b = 1, the nonzero ones)."""
+    invertible ones among the p**(b*b) candidates, MATRIX_CHUNK at a time."""
     space = AbelianGroup(((p, 1),) * b)
     total = p ** (b * b)
     place = p ** np.arange(b * b - 1, -1, -1, dtype=np.int64)
     for lo in range(0, total, MATRIX_CHUNK):
         idx = np.arange(lo, min(total, lo + MATRIX_CHUNK), dtype=np.int64)
         cand = (idx[:, None] // place % p).reshape(-1, b, b)
-        yield cand[idx % p != 0 if b == 1 else kernel_exponents(space, cand) == 0]
+        yield cand[kernel_exponents(space, cand) == 0]
 
 
 def _candidate_cells(group: AbelianGroup) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -589,21 +588,14 @@ def rank_mod_p(rows: Iterable[Iterable[int]], p: int) -> int:
     return rank
 
 
-def unique_rows(table: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The distinct rows of a 2-d integer table, each row's index among
-    them, and how often each occurs: one opaque key per row makes this a 1-d
-    np.unique, far cheaper than axis=0.  Rows come in the keys' byte order."""
-    table = np.ascontiguousarray(table)
-    keys = table.view(np.dtype((np.void, table.itemsize * table.shape[1]))).ravel()
-    _, first, labels, counts = np.unique(keys, True, True, True)  # index, inverse, counts
-    return table[first], labels.reshape(-1), counts
-
-
 def tally_rows(census: Counter, table: np.ndarray) -> None:
     """Add each distinct row of a 2-d integer table to `census` as a tuple
-    key, counted as often as it occurs."""
-    rows, _, counts = unique_rows(table)
-    census.update(dict(zip(map(tuple, rows.tolist()), counts.tolist())))
+    key, counted as often as it occurs: one opaque key per row makes this a
+    1-d np.unique, far cheaper than axis=0."""
+    table = np.ascontiguousarray(table)
+    keys = table.view(np.dtype((np.void, table.itemsize * table.shape[1]))).ravel()
+    _, first, counts = np.unique(keys, return_index=True, return_counts=True)
+    census.update(dict(zip(map(tuple, table[first].tolist()), counts.tolist())))
 
 
 def kernel_exponents(group: AbelianGroup, stack: np.ndarray) -> np.ndarray:
