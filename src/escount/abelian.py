@@ -15,7 +15,8 @@ read-only (k, s, s) int64 stack, sized in advance by the closed-form order
 (automorphism_count) and wrapped in an Automorphisms sequence, whose
 EndoMatrix items are built, and checked, only when taken.  The closed
 form's census of a p-group (kernel_census) streams the chunks instead and
-caches nothing.
+caches no automorphism; beside larger factors, a block of b >= 2 factors
+C_p is listed once per GL(b, p) conjugacy class (general_linear_classes).
 """
 from __future__ import annotations
 
@@ -25,12 +26,13 @@ import operator
 from collections import Counter, abc
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .budget import Budget, DEFAULT_BUDGET, IntegralityError
-from .numtheory import factorize, is_prime
+from .budget import Budget, DEFAULT_BUDGET, IntegralityError, exact_quotient
+from .glclasses import general_linear_order
+from .numtheory import factorize, is_prime, multiplicative_order
 
 GroupElement = tuple[int, ...]
 Character = tuple[int, ...]
@@ -278,6 +280,68 @@ def general_linear_chunks(p: int, b: int) -> Iterator[np.ndarray]:
         yield cand[kernel_exponents(space, cand) == 0]
 
 
+def general_linear_classes(
+    p: int, b: int, budget: Budget = DEFAULT_BUDGET
+) -> tuple[np.ndarray, np.ndarray]:
+    """The conjugacy classes of GL(b, p): a read-only (k, b, b) stack of
+    representatives, each the first matrix of its class in the order of
+    general_linear_chunks, and the k class sizes.
+
+    The matrices of general_linear_chunks are labelled by their position.
+    Each pass lowers every label to its image's under conjugation by each
+    generator, I + E_ij (i != j) and diag(w, 1, ..., 1) with w a primitive
+    root mod p, which generate GL(b, p), then jumps every label to its
+    label's label.  A label only ever names a matrix of the same class, so
+    when a pass changes nothing each class carries its least position.
+    The p**(b*b) block space that general_linear_chunks scans is checked
+    against max_matrix_candidates; the classes are computed once per
+    (p, b) in a process.
+    """
+    budget.check("max_matrix_candidates", p ** (b * b))
+    return _general_linear_classes(p, b)
+
+
+@lru_cache(maxsize=8)
+def _general_linear_classes(p: int, b: int) -> tuple[np.ndarray, np.ndarray]:
+    place = p ** np.arange(b * b - 1, -1, -1, dtype=np.int64)
+    keys = np.concatenate(
+        [matrices.reshape(-1, b * b) @ place for matrices in general_linear_chunks(p, b)]
+    )
+    if len(keys) != general_linear_order(p, b):
+        raise IntegralityError(f"listed {len(keys)} matrices of GL({b}, {p})")
+    moves: list = [(i, j) for i in range(b) for j in range(b) if i != j]
+    if p > 2:
+        moves.append(next(w for w in range(2, p) if multiplicative_order(w, p) == p - 1))
+    images = [np.empty(len(keys), dtype=np.int64) for _ in moves]
+    for lo in range(0, len(keys), MATRIX_CHUNK):
+        matrices = (keys[lo : lo + MATRIX_CHUNK, None] // place % p).reshape(-1, b, b)
+        for image, move in zip(images, moves):
+            conjugate = matrices.copy()
+            if isinstance(move, tuple):
+                i, j = move
+                conjugate[:, i] += conjugate[:, j]
+                conjugate[:, :, j] -= conjugate[:, :, i]
+            else:
+                conjugate[:, 0] *= move
+                conjugate[:, :, 0] *= pow(move, -1, p)
+            conjugate %= p
+            image[lo : lo + len(matrices)] = np.searchsorted(
+                keys, conjugate.reshape(-1, b * b) @ place
+            )
+    label = np.arange(len(keys))
+    while True:
+        settled = label.copy()
+        for image in images:
+            np.minimum(label, label[image], out=label)
+        label = label[label]
+        if np.array_equal(label, settled):
+            break
+    first, sizes = np.unique(label, return_counts=True)
+    representatives = (keys[first, None] // place % p).reshape(-1, b, b)
+    representatives.flags.writeable = sizes.flags.writeable = False
+    return representatives, sizes
+
+
 def _candidate_cells(group: AbelianGroup) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The candidate layout as three (s, s) int64 arrays: each cell's digit
     count c = gcd(m_i, m_j), the step m_i / c between its entries, and its
@@ -297,7 +361,9 @@ def _decode(
     return index[:, None, None] // strides % counts * steps
 
 
-def automorphism_chunks(group: AbelianGroup) -> Iterator[np.ndarray]:
+def automorphism_chunks(
+    group: AbelianGroup, blocks: np.ndarray | None = None
+) -> Iterator[np.ndarray]:
     """All automorphisms of the group, as (k, s, s) stacks of at most
     MATRIX_CHUNK matrices, in itertools.product order over the cells.
 
@@ -308,7 +374,9 @@ def automorphism_chunks(group: AbelianGroup) -> Iterator[np.ndarray]:
     No candidate is rejected: the indices are sorted sums of independent
     parts: per block, a GL(b, p) matrix's digits plus p * [0, p**(e - 1))
     in each of its cells; per other cell, [0, c).  An elementary group is
-    one block, passed on as it is scanned."""
+    one block, passed on as it is scanned.  Given `blocks`, a (k, b, b)
+    stack of GL(b, p) matrices, only the automorphisms whose block of C_p
+    factors is one of them are listed, every other block and cell in full."""
     if group.is_elementary():
         yield from general_linear_chunks(group.factors[0][0], group.rank)
         return
@@ -320,7 +388,8 @@ def automorphism_chunks(group: AbelianGroup) -> Iterator[np.ndarray]:
     for p, e in dict.fromkeys(group.factors):
         start, b = group.factors.index((p, e)), group.factors.count((p, e))
         block = strides[start : start + b, start : start + b]
-        gl = [mats.reshape(-1, b * b) @ block.ravel() for mats in general_linear_chunks(p, b)]
+        listed = [blocks] if blocks is not None and e == 1 else general_linear_chunks(p, b)
+        gl = [mats.reshape(-1, b * b) @ block.ravel() for mats in listed]
         parts.append(np.concatenate(gl))
         for i in range(start, start + b):
             for j in range(start, start + b):
@@ -340,27 +409,74 @@ def candidate_space(group: AbelianGroup) -> int:
     return math.prod(math.gcd(a, b) for a in mods for b in mods)
 
 
+def _class_blocks(
+    p: int, b: int, n: int, budget: Budget
+) -> tuple[np.ndarray, Callable[[np.ndarray], np.ndarray]]:
+    """The (k, b, b) stack of C_p**b blocks that kernel_census lists, and a
+    map from a stack of automorphisms over them to their int64 weights: a
+    block that is a GL(b, p) class representative R weighs its class size,
+    and a power R**r (r <= n) that is no representative weighs 0."""
+    representatives, sizes = general_linear_classes(p, b, budget)
+    place = p ** np.arange(b * b - 1, -1, -1, dtype=np.int64)
+    weight = {}
+    power = representatives
+    for _ in range(1, n):
+        power = power @ representatives % p
+        weight.update(dict.fromkeys((power.reshape(-1, b * b) @ place).tolist(), 0))
+    weight.update(zip((representatives.reshape(-1, b * b) @ place).tolist(), sizes.tolist()))
+    keys = np.array(sorted(weight), dtype=np.int64)
+    weights = np.array([weight[key] for key in keys.tolist()], dtype=np.int64)
+
+    def weigh(matrices: np.ndarray) -> np.ndarray:
+        return weights[np.searchsorted(keys, matrices[:, :b, :b].reshape(-1, b * b) @ place)]
+
+    return (keys[:, None] // place % p).reshape(-1, b, b), weigh
+
+
 def kernel_census(
     group: AbelianGroup, n: int, budget: Budget = DEFAULT_BUDGET
 ) -> dict[tuple[int, ...], int]:
     """The automorphisms A of a p-group tallied by exponent profile
     (c_1, ..., c_n), where A**r fixes p**c_r elements: one kernel_exponents
-    row per automorphism, and nothing cached.
+    row per listed automorphism, and nothing cached.
 
     Every A**r is itself an automorphism, with an index in the candidate
     space of automorphism_chunks.  So one pass over the listed chunks
     stores c(B) for each automorphism B in an int8 table over that space,
-    -1 where none is listed, and checks the number listed against
-    automorphism_count.  A second pass decodes the listed indices from the
-    table and reads c(A**r) for r = 2..n at the index of A**r (row i
-    reduced mod m_i, cell digit entry // (m_i / c)); a power that lands on
-    -1 raises IntegralityError.  At n = 1 the first pass is the census and
-    no table is built.  max_endo_candidates bounds the candidate space, and
-    so the table's bytes.
+    -1 where none is listed, and checks the number listed.  A second pass
+    decodes the listed indices from the table and reads c(A**r) for
+    r = 2..n at the index of A**r (row i reduced mod m_i, cell digit
+    entry // (m_i / c)); a power that lands on -1 raises IntegralityError.
+    At n = 1 the first pass is the census and no table is built.
+
+    A group with b >= 2 factors C_p beside larger ones lists fewer.  Its
+    block of those factors is in GL(b, p), and reading that block is a
+    homomorphism of Aut(G), since every map C_p -> C_{p^e} -> C_p with
+    e >= 2 is zero; so the block of A**r is R**r when A's is R.  Conjugating
+    by diag(P, I) keeps every fixed count and maps the automorphisms over
+    block R onto those over P R P**-1.  So only the blocks of _class_blocks
+    are listed, each in full; an automorphism over a representative is
+    tallied with its class size, and those over its powers only fill the
+    table.
+
+    At n = 1 max_endo_candidates prices the automorphisms listed; at
+    n >= 2 it prices the candidate space, and so the table's bytes.  The
+    class search prices its block space under max_matrix_candidates.
     """
     space = candidate_space(group)
-    budget.check("max_endo_candidates", space)
+    if n > 1:
+        budget.check("max_endo_candidates", space)
     s, p = group.rank, group.factors[0][0]
+    expected = automorphism_count(group)
+    b = group.factors.count((p, 1))
+    blocks = weigh = None
+    if 2 <= b < s:
+        blocks, weigh = _class_blocks(p, b, n, budget)
+        expected = len(blocks) * exact_quotient(
+            expected, general_linear_order(p, b), f"|Aut({group})| over |GL({b}, {p})|"
+        )
+    if n == 1:
+        budget.check("max_endo_candidates", expected)
     identity = np.eye(s, dtype=np.int64)
     layout = _candidate_cells(group)
     _, steps, strides = layout
@@ -370,14 +486,14 @@ def kernel_census(
     table = np.full(space, -1, dtype=np.int8) if n > 1 else None
     census: Counter = Counter()
     found = 0
-    for chunk in automorphism_chunks(group):
+    chunks = automorphism_chunks(group) if blocks is None else automorphism_chunks(group, blocks)
+    for chunk in chunks:
         exponents = kernel_exponents(group, chunk - identity).astype(np.int8)
         found += len(chunk)
         if n > 1:
             table[chunk.reshape(-1, s * s) @ weights] = exponents
         else:
-            tally_rows(census, exponents[:, None])
-    expected = automorphism_count(group)
+            tally_rows(census, exponents[:, None], None if weigh is None else weigh(chunk))
     if found != expected:
         raise IntegralityError(f"listed {found} automorphisms of {group}, expected {expected}")
     if n == 1:
@@ -390,6 +506,11 @@ def kernel_census(
     for lo in range(0, space, span):
         index = lo + np.flatnonzero(table[lo : lo + span] >= 0)
         matrices = _decode(index, *layout)
+        counts = None
+        if weigh is not None:
+            counts = weigh(matrices)
+            tallied = counts > 0
+            index, matrices, counts = index[tallied], matrices[tallied], counts[tallied]
         profiles = np.empty((len(index), n), dtype=np.int8)
         profiles[:, 0] = table[index]
         power = matrices
@@ -398,7 +519,7 @@ def kernel_census(
             profiles[:, r] = table[power.reshape(-1, s * s) @ weights]
         if (profiles < 0).any():
             raise IntegralityError(f"a power of an automorphism of {group} is not listed")
-        tally_rows(census, profiles)
+        tally_rows(census, profiles, counts)
     return dict(census)
 
 
@@ -588,13 +709,21 @@ def rank_mod_p(rows: Iterable[Iterable[int]], p: int) -> int:
     return rank
 
 
-def tally_rows(census: Counter, table: np.ndarray) -> None:
+def tally_rows(
+    census: Counter, table: np.ndarray, weights: np.ndarray | None = None
+) -> None:
     """Add each distinct row of a 2-d integer table to `census` as a tuple
-    key, counted as often as it occurs: one opaque key per row makes this a
-    1-d np.unique, far cheaper than axis=0."""
+    key, counted as often as it occurs, or with the sum of its rows' int64
+    `weights` if given: one opaque key per row makes this a 1-d np.unique,
+    far cheaper than axis=0."""
     table = np.ascontiguousarray(table)
     keys = table.view(np.dtype((np.void, table.itemsize * table.shape[1]))).ravel()
-    _, first, counts = np.unique(keys, return_index=True, return_counts=True)
+    if weights is None:
+        _, first, counts = np.unique(keys, return_index=True, return_counts=True)
+    else:
+        _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+        counts = np.zeros(len(first), dtype=np.int64)
+        np.add.at(counts, inverse.ravel(), weights)
     census.update(dict(zip(map(tuple, table[first].tolist()), counts.tolist())))
 
 

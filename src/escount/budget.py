@@ -57,9 +57,10 @@ class Budget:
                            group whose automorphisms are listed; the lister
                            walks only its GL(b, p) blocks, but refusals stay
                            priced by the whole space.  closed_count applies
-                           it to each Sylow factor it lists, not to the group,
-                           and so it also bounds the bytes of the int8
-                           exponent table kept over that space.
+                           it to each Sylow factor it lists, not to the group:
+                           at n = 1 to the automorphisms it lists, and at
+                           n >= 2 to the candidate space, which bounds the
+                           bytes of the int8 exponent table kept over it.
     max_state_space:       largest number of tuples |G|^n of one half in the
                            naive scan, and of configurations |G|^(2n) for the
                            one-pair naive count and for orbit listing.
@@ -69,7 +70,11 @@ class Budget:
     max_matrix_candidates: largest number of candidate matrices p^(s*s)
                            scanned when listing an invertible matrix group,
                            and largest bound p^s on the conjugacy classes
-                           of GL(s, p) listed for its class census.
+                           of GL(s, p) listed for its class census.  At
+                           every n, closed_count also applies it to the
+                           block space p^(b*b) in which it finds the
+                           classes of GL(b, p) for a Sylow factor with
+                           b >= 2 factors C_p beside larger ones.
     """
 
     max_group_order: int = 64

@@ -10,7 +10,9 @@ an elementary factor C_p^s from the conjugacy classes of GL(s, p)
 (glclasses), never listing matrices; any other factor by streaming its
 automorphisms, so max_endo_candidates applies to that factor alone, with
 one Smith form per automorphism (abelian.kernel_census), each power's
-fixed count p**c read from a table of those.  No element is mapped, so
+fixed count p**c read from a table of those; a factor with b >= 2 factors
+C_p beside larger ones lists only the automorphisms over one block per
+GL(b, p) conjugacy class and over its powers.  No element is mapped, so
 max_group_order does not apply and the congruence method's element images
 stay a separate witness.  The per-prime censuses are evaluated either
 profile by profile through the shared cycle-index kernel or cycle type by
@@ -439,9 +441,16 @@ def _sylow_census(
 
     Cyclic: the unit census.  Elementary: the GL(s, p) class census.  Any
     other p-group: abelian.kernel_census streams its automorphisms, takes
-    one Smith form per automorphism and reads each power's from a table
-    over the candidate space; no element is ever mapped, and nothing is
-    cached.
+    one Smith form per listed automorphism and reads each power's from a
+    table over the candidate space; no element is ever mapped, and no
+    automorphism is cached.  With b >= 2 factors C_p beside larger ones it
+    lists only the automorphisms over one C_p**b block per GL(b, p) class,
+    weighted by the class size, and over that block's powers.
+
+    max_endo_candidates prices, at n = 1, the automorphisms listed, and at
+    n >= 2 the candidate space, over which the int8 table is kept; the
+    class search prices the p**(b*b) block space under
+    max_matrix_candidates.
     """
     p, e = sylow.factors[0]
     if sylow.is_cyclic():

@@ -86,6 +86,19 @@ def test_count_all_methods_agree(capsys):
     assert all(row[3] == "31" for row in rows)
 
 
+def test_count_all_answers_c2_4xc4_by_closed_alone(capsys):
+    # closed lists one C2^4 block per GL(4, 2) class; congruence and naive
+    # price the 2^26 candidates and 10,321,920 automorphisms, and skip.
+    code, out, err = run_cli(
+        ["count", "--group", "C2^4xC4", "--n", "1", "--method", "all", "--format", "csv"],
+        capsys,
+    )
+    assert code == cli.EXIT_OK
+    rows = list(csv.DictReader(io.StringIO(out)))
+    assert [(row["method"], row["count"]) for row in rows] == [("closed", "20")]
+    assert "skipped congruence" in err and "skipped naive" in err
+
+
 def test_count_json_format(capsys):
     code, out, _ = run_cli(
         ["count", "--group", "C12", "--n", "1", "--format", "json"], capsys

@@ -494,14 +494,29 @@ def test_closed_count_budget_applies_to_each_scanned_sylow_factor():
         orbit_count_congruence(group, 2)
     assert excinfo.value.limit_name == "max_group_order"
     assert excinfo.value.required == 81
+    # At n >= 2 the limit prices the int8 table over the 2^26 candidates;
+    # at n = 1 it prices the listed automorphisms, and the class search
+    # prices the GL(5, 2) block space of C2^5xC4, 2^25 matrices.
     with pytest.raises(BudgetExceededError) as excinfo:
-        closed_count(parse_group("C2^4xC4"), 1)
+        closed_count(parse_group("C2^4xC4"), 2)
     assert excinfo.value.limit_name == "max_endo_candidates"
     assert excinfo.value.required == 2**26
+    with pytest.raises(BudgetExceededError) as excinfo:
+        closed_count(parse_group("C2^5xC4"), 1)
+    assert excinfo.value.limit_name == "max_matrix_candidates"
+    assert excinfo.value.required == 2**25
 
 
-# Scanned p-groups whose Smith census is checked against the element images.
-SMITH_GROUPS = ("C2xC4", "C3xC9", "C4xC4", "C2^2xC8", "C2xC4xC8", "C8^2xC2", "C3^2xC9")
+def test_closed_count_lists_one_block_per_class_of_c2_4xc4():
+    assert closed_count(parse_group("C2^4xC4"), 1) == 20
+
+
+# Scanned p-groups whose Smith census is checked against the element images;
+# C2^3xC4, C2^3xC8 and C3^2xC9 list one block per GL(b, p) class.
+SMITH_GROUPS = (
+    "C2xC4", "C3xC9", "C4xC4", "C2^2xC8", "C2xC4xC8", "C8^2xC2", "C3^2xC9",
+    "C2^3xC4", "C2^3xC8",
+)
 
 
 def _element_image_census(group, n):
@@ -545,6 +560,45 @@ def test_kernel_census_eliminates_each_automorphism_once(monkeypatch):
     monkeypatch.setattr(abelian, "kernel_exponents", counted)
     census = abelian.kernel_census(group, 5)
     assert sum(eliminated) == sum(census.values()) == abelian.automorphism_count(group)
+
+
+@pytest.mark.parametrize("n", [1, 3])
+def test_kernel_census_lists_one_block_per_class(monkeypatch, n):
+    """C2^3xC4 lists the automorphisms over the GL(3, 2) class
+    representatives and their powers, fewer than |Aut|; the class sizes
+    weigh the tally back up to |Aut|."""
+    group = parse_group("C2^3xC4")
+    eliminated = []
+    real = abelian.kernel_exponents
+
+    def counted(space, stack):
+        if space == group:
+            eliminated.append(len(stack))
+        return real(space, stack)
+
+    monkeypatch.setattr(abelian, "kernel_exponents", counted)
+    census = abelian.kernel_census(group, n)
+    order = abelian.automorphism_count(group)
+    per_block = order // general_linear_order(2, 3)
+    assert sum(census.values()) == order
+    assert per_block * 6 <= sum(eliminated) < order
+
+
+@pytest.mark.parametrize("p,b", [(2, 2), (2, 3), (2, 4), (3, 2), (3, 3), (5, 2)])
+def test_general_linear_classes_match_the_class_formula(p, b):
+    """Label propagation over GL(b, p) finds the classes of gl_classes: the
+    same sizes, and each representative's powers fix as many vectors as
+    the closed form says."""
+    representatives, sizes = abelian.general_linear_classes(p, b)
+    space, identity = parse_group(f"C{p}^{b}"), np.eye(b, dtype=np.int64)
+    found = Counter()
+    for matrix, size in zip(representatives, sizes.tolist()):
+        powers = [np.linalg.matrix_power(matrix, r) % p for r in range(1, b + 2)]
+        profile = abelian.kernel_exponents(space, np.stack(powers) - identity)
+        found[size, tuple(profile.tolist())] += 1
+    assert found == Counter(gl_classes(p, b, b + 1))
+    if (p, b) == (2, 4):
+        assert len(sizes) == 14  # GL(4, 2) is A8, with 14 classes
 
 
 def test_closed_count_caches_no_automorphism():
