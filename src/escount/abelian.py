@@ -152,13 +152,6 @@ def element_index(group: AbelianGroup) -> dict[GroupElement, int]:
     return {el: i for i, el in enumerate(element_list(group))}
 
 
-def pairing_exponent(group: AbelianGroup, chi: Character, el: GroupElement) -> int:
-    """Exponent k with chi(el) equal to the k-th power of a fixed primitive
-    |G|-th root of unity."""
-    m = group.order
-    return sum((m // mi) * l * k for mi, l, k in zip(group.moduli, chi, el, strict=True)) % m
-
-
 @dataclass(frozen=True)
 class EndoMatrix:
     """An endomorphism of `group`, stored as rows of exponent coefficients.

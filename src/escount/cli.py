@@ -1,6 +1,15 @@
 """Command-line interface: count orbits for one group, cross-verify the
 counting methods over a range of groups, or tabulate counts for many groups.
 
+    escount count --group SPEC --n N [--method M] [--format F]
+    escount verify [--max-order K] [--max-n N] [--format F]
+    escount table (--groups SPECS | --all-orders K) --n N [--format F]
+
+COMMANDS is the one table of each command's flags: parse_args reads argv
+from it and the help prints it.  A flag takes its value as `--flag value` or
+`--flag=value`; a repeated flag keeps its last value; names are matched in
+full, never by prefix.  -h/--help prints the usage and exits 0.
+
 Exit codes: 0 success; 1 verification found a disagreement or reference
 mismatch; 2 malformed input (group spec, flags, or ESC_BUDGET); 3 workload
 over budget (for `table`, some group was refused; the rows of the others
@@ -8,12 +17,12 @@ are still printed); 4 the requested methods disagree with each other.
 """
 from __future__ import annotations
 
-import argparse
 import csv
 import json
 import sys
 from dataclasses import asdict, astuple, dataclass, fields
-from functools import cache
+from types import SimpleNamespace
+from typing import Callable, NamedTuple, NoReturn
 
 from .abelian import GroupParseError, parse_group
 from .budget import Budget, budget_from_env
@@ -30,6 +39,11 @@ EXIT_VERIFY_FAILED = 1
 EXIT_PARSE_ERROR = 2
 EXIT_BUDGET = 3
 EXIT_DISAGREEMENT = 4
+
+DESCRIPTION = (
+    "Count isomorphism classes of element systems with characters "
+    "over finite abelian groups."
+)
 
 # `count --method` choices: verify methods in the order "all" runs them, then "all".
 METHOD_CHOICES = ("closed", "congruence", "naive", "all")
@@ -75,50 +89,159 @@ def _positive_int(raw: str) -> int:
     try:
         value = int(raw)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {raw!r}")
+        raise ValueError(f"expected an integer, got {raw!r}") from None
     if value < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {value}")
+        raise ValueError(f"expected a positive integer, got {value}")
     return value
 
 
-@cache
-def build_parser() -> argparse.ArgumentParser:
-    """The escount parser, built once per process for every call of main."""
-    parser = argparse.ArgumentParser(
-        prog="escount",
-        description=(
-            "Count isomorphism classes of element systems with characters "
-            "over finite abelian groups."
-        ),
+class Flag(NamedTuple):
+    """One `--name VALUE` flag of a command.  `kind` converts the raw value
+    (raising ValueError with the reason) or is the tuple of accepted values.
+    Of the flags marked `one_of` in a command, exactly one must be given."""
+
+    name: str
+    kind: Callable[[str], object] | tuple[str, ...]
+    help: str
+    default: object = None
+    required: bool = False
+    one_of: bool = False
+
+    @property
+    def dest(self) -> str:
+        return self.name[2:].replace("-", "_")
+
+    @property
+    def usage(self) -> str:
+        value = self.dest.upper() if callable(self.kind) else "{" + ",".join(self.kind) + "}"
+        return f"{self.name} {value}"
+
+
+_FORMAT = Flag("--format", tuple(sorted(_EMITTERS)), "output format", "text")
+_N = Flag("--n", _positive_int, "tuple length", required=True)
+
+# The one table the parser reads and the help prints: per command, its
+# one-line summary and its flags in usage order.
+COMMANDS: dict[str, tuple[str, tuple[Flag, ...]]] = {
+    "count": ("count orbits for one group", (
+        Flag("--group", str, "group spec, e.g. C12 or C2^2xC9", required=True),
+        _N,
+        Flag("--method", METHOD_CHOICES,
+             "counting method (all = run every method and compare)", "closed"),
+        _FORMAT,
+    )),
+    "verify": ("cross-check methods over small groups", (
+        Flag("--max-order", _positive_int, "largest group order swept", 16),
+        Flag("--max-n", _positive_int, "largest tuple length swept", 2),
+        _FORMAT,
+    )),
+    "table": ("tabulate counts for several groups", (
+        Flag("--groups", str, "comma-separated group specs", one_of=True),
+        Flag("--all-orders", _positive_int, "all abelian groups of order <= ALL_ORDERS",
+             one_of=True),
+        _N,
+        _FORMAT,
+    )),
+}
+
+_HELP = ("-h", "--help")
+
+
+def _usage(command: str | None) -> str:
+    if command is None:
+        return "usage: escount [-h] {" + ",".join(COMMANDS) + "} ..."
+    flags = COMMANDS[command][1]
+    one_of = " | ".join(flag.usage for flag in flags if flag.one_of)
+    parts = []
+    for flag in flags:
+        if flag.one_of:
+            if one_of:
+                parts.append(f"({one_of})")
+                one_of = ""
+        else:
+            parts.append(flag.usage if flag.required else f"[{flag.usage}]")
+    return f"usage: escount {command} [-h] " + " ".join(parts)
+
+
+def _help(command: str | None) -> NoReturn:
+    """Print the usage and the table rows of `command` (or of every
+    command), and exit 0."""
+    if command is None:
+        about = DESCRIPTION
+        rows = [(name, summary) for name, (summary, _) in COMMANDS.items()]
+        rows.append(("-h, --help", "show this help and exit; COMMAND -h lists its flags"))
+    else:
+        about = COMMANDS[command][0]
+        rows = [
+            (flag.usage, flag.help + ("" if flag.default is None else f"; default {flag.default}"))
+            for flag in COMMANDS[command][1]
+        ]
+        rows.append(("-h, --help", "show this help and exit"))
+    width = max(len(left) for left, _ in rows)
+    print(f"{_usage(command)}\n\n{about}\n")
+    for left, right in rows:
+        print(f"  {left.ljust(width)}  {right}")
+    raise SystemExit(EXIT_OK)
+
+
+def _error(command: str | None, message: str) -> NoReturn:
+    prog = "escount" if command is None else f"escount {command}"
+    print(f"{_usage(command)}\n{prog}: error: {message}", file=sys.stderr)
+    raise SystemExit(EXIT_PARSE_ERROR)
+
+
+def _value(command: str, flag: Flag, raw: str) -> object:
+    if callable(flag.kind):
+        try:
+            return flag.kind(raw)
+        except ValueError as exc:
+            _error(command, f"argument {flag.name}: {exc}")
+    if raw not in flag.kind:
+        choices = ", ".join(map(repr, flag.kind))
+        _error(command, f"argument {flag.name}: invalid choice: {raw!r} (choose from {choices})")
+    return raw
+
+
+def parse_args(argv: list[str]) -> SimpleNamespace:
+    """The command of `argv` and every flag of its COMMANDS row, given or
+    defaulted.  Flags come as `--name value` or `--name=value`, the last of
+    a repeated flag wins, and a value may not start with '-' unless it is a
+    negative number.  -h/--help prints the help and exits 0; malformed
+    input prints the usage and an error line on stderr and exits 2."""
+    command = argv[0] if argv else None
+    if command in _HELP:
+        _help(None)
+    if command not in COMMANDS:
+        what = "expected a command" if command is None else f"invalid command {command!r}"
+        _error(None, f"{what} (choose from {', '.join(COMMANDS)})")
+    flags = COMMANDS[command][1]
+    by_name = {flag.name: flag for flag in flags}
+    given = {}
+    rest = iter(argv[1:])
+    for arg in rest:
+        if arg in _HELP:
+            _help(command)
+        name, eq, raw = arg.partition("=")
+        flag = by_name.get(name)
+        if flag is None:
+            _error(command, f"unrecognized argument {arg!r}")
+        if not eq:
+            raw = next(rest, None)
+            if raw is None or (raw.startswith("-") and not raw[1:2].isdigit()):
+                _error(command, f"argument {name}: expected one value")
+        given[flag.dest] = _value(command, flag, raw)
+    missing = [flag.name for flag in flags if flag.required and flag.dest not in given]
+    if missing:
+        _error(command, f"the following arguments are required: {', '.join(missing)}")
+    one_of = [flag.name for flag in flags if flag.one_of]
+    chosen = [flag.name for flag in flags if flag.one_of and flag.dest in given]
+    if one_of and not chosen:
+        _error(command, f"one of the arguments {' '.join(one_of)} is required")
+    if len(chosen) > 1:
+        _error(command, f"argument {chosen[1]}: not allowed with argument {chosen[0]}")
+    return SimpleNamespace(
+        command=command, **{flag.dest: given.get(flag.dest, flag.default) for flag in flags}
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    count = sub.add_parser("count", help="count orbits for one group")
-    count.add_argument("--group", required=True, help="group spec, e.g. C12 or C2^2xC9")
-    count.add_argument("--n", required=True, type=_positive_int, help="tuple length")
-    count.add_argument(
-        "--method",
-        choices=METHOD_CHOICES,
-        default="closed",
-        help="counting method (all = run every method and compare)",
-    )
-    count.add_argument("--format", choices=sorted(_EMITTERS), default="text")
-
-    verify = sub.add_parser("verify", help="cross-check methods over small groups")
-    verify.add_argument("--max-order", type=_positive_int, default=16)
-    verify.add_argument("--max-n", type=_positive_int, default=2)
-    verify.add_argument("--format", choices=sorted(_EMITTERS), default="text")
-
-    table = sub.add_parser("table", help="tabulate counts for several groups")
-    which = table.add_mutually_exclusive_group(required=True)
-    which.add_argument("--groups", help="comma-separated group specs")
-    which.add_argument(
-        "--all-orders", type=_positive_int, help="all abelian groups of order <= K"
-    )
-    table.add_argument("--n", required=True, type=_positive_int, help="tuple length")
-    table.add_argument("--format", choices=sorted(_EMITTERS), default="text")
-
-    return parser
 
 
 def _records(cases: list[CaseResult]) -> list[OutputRecord]:
@@ -213,8 +336,7 @@ def cmd_table(args, budget: Budget) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parse_args(sys.argv[1:] if argv is None else argv)
     try:
         budget = budget_from_env()
     except ValueError as exc:

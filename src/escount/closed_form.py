@@ -41,6 +41,7 @@ from typing import Callable, Iterable, Iterator, Mapping, Sequence
 import numpy as np
 
 from .abelian import (
+    MATRIX_CHUNK,
     AbelianGroup,
     automorphism_chunks,
     kernel_census,
@@ -396,23 +397,44 @@ def matrix_scan_census(
     """Invertible s x s matrices over F_p tallied by exponent profile.
 
     A matrix power A**r fixes p**c_r vectors, c_r = corank(A**r - I).  The
-    matrices come from the batched scan of all p**(s*s) candidates, and
-    their powers and coranks (kernel_exponents) are computed batch by batch.
+    matrices come from the batched scan of all p**(s*s) candidates, with one
+    kernel_exponents row each.  At n = 1 that is the census.  Otherwise each
+    c(B) is stored in an int8 table over the candidates, indexed by the
+    entries of B read as base-p digits, and -1 where B is singular; a
+    second pass decodes the invertible A from the table and reads c(A**r)
+    at the index of A**r, r = 2..n.  A power that lands on -1 raises
+    IntegralityError.
     """
     if s < 1:
         raise ValueError(f"rank must be >= 1, got {s}")
     if n < 1:
         raise ValueError(f"tuple length must be >= 1, got {n}")
+    # Checked again by the scan; here it also prices the table.
+    budget.check("max_matrix_candidates", p ** (s * s))
     census: Counter = Counter()
     space, identity = AbelianGroup(((p, 1),) * s), np.eye(s, dtype=np.int64)
+    place = p ** np.arange(s * s - 1, -1, -1, dtype=np.int64)
+    table = np.full(p ** (s * s), -1, dtype=np.int8) if n > 1 else None
     for mats in _invertible_matrix_chunks(p, s, budget):
-        coranks = np.empty((len(mats), n), dtype=np.int64)
+        coranks = kernel_exponents(space, mats - identity).astype(np.int8)
+        if n > 1:
+            table[mats.reshape(-1, s * s) @ place] = coranks
+        else:
+            tally_rows(census, coranks[:, None])
+    if n == 1:
+        return dict(census)
+    for lo in range(0, len(table), MATRIX_CHUNK):
+        index = lo + np.flatnonzero(table[lo : lo + MATRIX_CHUNK] >= 0)
+        mats = (index[:, None] // place % p).reshape(-1, s, s)
+        profiles = np.empty((len(index), n), dtype=np.int8)
+        profiles[:, 0] = table[index]
         power = mats
-        for r in range(n):
-            coranks[:, r] = kernel_exponents(space, power - identity)
-            if r + 1 < n:
-                power = power @ mats % p
-        tally_rows(census, coranks)
+        for r in range(1, n):
+            power = power @ mats % p
+            profiles[:, r] = table[power.reshape(-1, s * s) @ place]
+        if (profiles < 0).any():
+            raise IntegralityError(f"a power of an invertible matrix over F_{p}^{s} is singular")
+        tally_rows(census, profiles)
     return dict(census)
 
 

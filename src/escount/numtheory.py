@@ -241,29 +241,6 @@ def multiplicative_order(i: int, modulus: int) -> int:
     return order
 
 
-@lru_cache(maxsize=None)
-def two_power_unit_decomposition(e: int, i: int) -> tuple[int, int]:
-    """Coordinates (sign, nu) of the unit i modulo 2**e, e >= 3.
-
-    Every odd i modulo 2**e factors uniquely as sign * 5**nu with
-    sign in {1, -1} and 0 <= nu < 2**(e-2); found by direct search.
-    """
-    if e < 3:
-        raise ValueError(f"decomposition needs e >= 3, got {e}")
-    mod = 1 << e
-    i %= mod
-    if i % 2 == 0:
-        raise ValueError(f"{i} is not a unit modulo {mod}")
-    power = 1
-    for nu in range(1 << (e - 2)):
-        if power == i:
-            return (1, nu)
-        if mod - power == i:
-            return (-1, nu)
-        power = power * 5 % mod
-    raise AssertionError(f"no decomposition found for {i} mod {mod}")
-
-
 @dataclass(frozen=True)
 class DeltaVector:
     """Orders of a fixed unit at every level of a prime-power modulus tower.

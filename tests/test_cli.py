@@ -286,6 +286,92 @@ def test_table_requires_selection():
         cli.main(["table", "--n", "1"])
 
 
+# Malformed command lines, each with the flag or value its error names.
+MALFORMED = {
+    "missing command": ([], "command"),
+    "unknown command": (["frob", "--n", "1"], "frob"),
+    "unknown flag": (["count", "--group", "C4", "--n", "1", "--bogus", "2"], "--bogus"),
+    "stray value": (["count", "--group", "C4", "--n", "1", "extra"], "extra"),
+    "missing value": (["count", "--group", "C4", "--n"], "--n"),
+    "flag as value": (["count", "--group", "--n", "1"], "--group"),
+    "non-integer": (["count", "--group", "C4", "--n", "two"], "two"),
+    "zero": (["count", "--group", "C4", "--n", "0"], "--n"),
+    "negative": (["verify", "--max-order", "-3"], "-3"),
+    "bad method": (["count", "--group", "C4", "--n", "1", "--method", "fast"], "fast"),
+    "bad format": (["table", "--groups", "C2", "--n", "1", "--format", "xml"], "xml"),
+    "missing group": (["count", "--n", "1"], "--group"),
+    "missing n": (["table", "--groups", "C2"], "--n"),
+    "neither selection": (["table", "--n", "1"], "--all-orders"),
+    "both selections": (
+        ["table", "--groups", "C2", "--all-orders", "3", "--n", "1"], "--all-orders"
+    ),
+}
+
+
+@pytest.mark.parametrize("argv, named", MALFORMED.values(), ids=MALFORMED)
+def test_malformed_command_line_exits_2(argv, named, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    captured = capsys.readouterr()
+    assert exc.value.code == cli.EXIT_PARSE_ERROR
+    assert captured.out == ""
+    assert captured.err.startswith("usage: escount")
+    error = captured.err.split("error: ", 1)[1]
+    assert named in error
+
+
+@pytest.mark.parametrize("argv, flags", [
+    (["--help"], ["count", "verify", "table"]),
+    (["count", "-h"], ["--group", "--n", "--method", "--format"]),
+    (["verify", "--help"], ["--max-order", "--max-n", "--format"]),
+    (["table", "--n", "1", "-h"], ["--groups", "--all-orders", "--n", "--format"]),
+])
+def test_help_prints_usage_and_exits_0(argv, flags, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    captured = capsys.readouterr()
+    assert exc.value.code == cli.EXIT_OK
+    assert captured.out.startswith("usage: escount")
+    assert all(flag in captured.out for flag in flags)
+    assert captured.err == ""
+
+
+def _counts(argv, capsys):
+    code, out, _ = run_cli(argv + ["--format", "csv"], capsys)
+    return code, [row[:4] for row in csv.reader(io.StringIO(out))]
+
+
+def test_flag_value_after_equals_sign(capsys):
+    assert _counts(["count", "--group=C2^2", "--n=2", "--method=all"], capsys) == _counts(
+        ["count", "--group", "C2^2", "--n", "2", "--method", "all"], capsys
+    )
+
+
+def test_repeated_flag_keeps_its_last_value(capsys):
+    code, rows = _counts(["count", "--group", "C4", "--n", "3", "--n", "2"], capsys)
+    assert code == cli.EXIT_OK
+    assert rows[1] == ["C4", "2", "closed", "76"]
+
+
+def test_main_reads_sys_argv(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "argv", ["escount", "count", "--group", "C2", "--n", "1"])
+    code, out, _ = run_cli(None, capsys)
+    assert code == cli.EXIT_OK
+    assert out.splitlines()[1].split()[:4] == ["C2", "1", "closed", "4"]
+
+
+def test_cli_import_leaves_argparse_out():
+    result = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, escount.cli; print(sorted({'argparse', 'gettext'} & set(sys.modules)))"],
+        capture_output=True,
+        text=True,
+        check=True,
+        env=child_env(),
+    )
+    assert result.stdout.strip() == "[]"
+
+
 def test_budget_env_var_limits_naive(capsys, monkeypatch):
     # The naive scan walks 4**4 = 256 tuples per half, over the cap of 100.
     monkeypatch.setenv("ESC_BUDGET", "100")

@@ -370,6 +370,23 @@ def test_gl_class_census_equals_matrix_scan_census(p, s):
         assert gl_class_census(p, s, n) == dict(cut), (p, s, n)
 
 
+@pytest.mark.parametrize("p, s", [(2, 2), (2, 3), (3, 2), (2, 4)])
+def test_matrix_scan_census_matches_one_elimination_per_power(p, s):
+    # The reference eliminates every power A**r - I of every invertible
+    # matrix; the census reads the powers' coranks from its table.
+    space = abelian.AbelianGroup(((p, 1),) * s)
+    matrices = np.array(enumerate_invertible_matrices(p, s), dtype=np.int64)
+    identity = np.eye(s, dtype=np.int64)
+    power, coranks = identity, []
+    for _ in range(4):
+        power = power @ matrices % p
+        coranks.append(abelian.kernel_exponents(space, power - identity))
+    profiles = np.stack(coranks, axis=1).tolist()
+    for n in range(1, 5):
+        reference = Counter(tuple(profile[:n]) for profile in profiles)
+        assert matrix_scan_census(p, s, n) == dict(reference), (p, s, n)
+
+
 # k(GL(s, p)), the number of conjugacy classes.
 GL_CLASS_COUNTS = (
     (2, 1, 1), (3, 1, 2), (7, 1, 6), (2, 2, 3), (3, 2, 8), (5, 2, 24),
