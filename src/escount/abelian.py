@@ -16,7 +16,8 @@ read-only (k, s, s) int64 stack, sized in advance by the closed-form order
 EndoMatrix items are built, and checked, only when taken.  The closed
 form's census of a p-group (kernel_census) streams the chunks instead and
 caches no automorphism; beside larger factors, a block of b >= 2 factors
-C_p is listed once per GL(b, p) conjugacy class (general_linear_classes).
+C_p is listed once per GL(b, p) conjugacy class (general_linear_classes),
+while an elementary group is scanned as one block with no class search.
 """
 from __future__ import annotations
 
@@ -440,7 +441,9 @@ def kernel_census(
     decodes the listed indices from the table and reads c(A**r) for
     r = 2..n at the index of A**r (row i reduced mod m_i, cell digit
     entry // (m_i / c)); a power that lands on -1 raises IntegralityError.
-    At n = 1 the first pass is the census and no table is built.
+    At n = 1 the first pass is the census and no table is built.  An
+    elementary group C_p^s is one GL(s, p) block, scanned in full with no
+    class search; closed_form.matrix_scan_census is that census.
 
     A group with b >= 2 factors C_p beside larger ones lists fewer.  Its
     block of those factors is in GL(b, p), and reading that block is a

@@ -57,10 +57,11 @@ class Budget:
                            group whose automorphisms are listed; the lister
                            walks only its GL(b, p) blocks, but refusals stay
                            priced by the whole space.  closed_count applies
-                           it to each Sylow factor it lists, not to the group:
-                           at n = 1 to the automorphisms it lists, and at
-                           n >= 2 to the candidate space, which bounds the
-                           bytes of the int8 exponent table kept over it.
+                           it to each Sylow factor it lists, not to the group,
+                           and the elementary witness to C_p^s: at n = 1 to
+                           the automorphisms listed, and at n >= 2 to the
+                           candidate space, which bounds the bytes of the
+                           int8 exponent table kept over it.
     max_state_space:       largest number of tuples |G|^n of one half in the
                            naive scan, and of configurations |G|^(2n) for the
                            one-pair naive count and for orbit listing.
@@ -68,7 +69,9 @@ class Budget:
                            count: group-pair count |Aut(G)| * n! times the
                            2 * |G|^n tuples each pair's two halves walk.
     max_matrix_candidates: largest number of candidate matrices p^(s*s)
-                           scanned when listing an invertible matrix group,
+                           scanned when listing an invertible matrix group
+                           (checked before max_endo_candidates by the
+                           elementary witness, which both limits price),
                            and largest bound p^s on the conjugacy classes
                            of GL(s, p) listed for its class census.  At
                            every n, closed_count also applies it to the

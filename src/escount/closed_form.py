@@ -27,7 +27,8 @@ d == 1 shapes take f_p's levelled sum), and n_cyclic takes a product of
 per-prime block sums for any cyclic group, so n_cyclic_prime_power is its
 single-prime case.  n_cyclic_prime_power_alt regroups the shape sum;
 formula_prime_any_n, the paper's form for C_p, is its e == 1 case.
-n_elementary_abelian tallies the GL(s, p) census by scanning matrices.
+n_elementary_abelian tallies the GL(s, p) census by scanning matrices:
+kernel_census on C_p^s, scanned as one block with no class search.
 """
 from __future__ import annotations
 
@@ -36,18 +37,11 @@ import math
 import operator
 from collections import Counter
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .abelian import (
-    MATRIX_CHUNK,
-    AbelianGroup,
-    automorphism_chunks,
-    kernel_census,
-    kernel_exponents,
-    tally_rows,
-)
+from .abelian import AbelianGroup, automorphism_chunks, kernel_census
 from .budget import Budget, DEFAULT_BUDGET, IntegralityError, exact_quotient
 from .glclasses import general_linear_order, gl_class_census
 from .numtheory import (
@@ -347,48 +341,25 @@ def cheaper_census_sum(
     return census_sum_by_cycle_type
 
 
-def _invertible_matrix_chunks(
-    p: int, s: int, budget: Budget
-) -> Iterator[np.ndarray]:
-    """All invertible s x s matrices over F_p, as (k, s, s) arrays.
-
-    These are the automorphisms of C_p^s, in the order automorphism_chunks
-    scans them: itertools.product order over the flattened entries.  The
-    number found is checked against the closed-form group order once the
-    scan ends.
-    """
+def enumerate_invertible_matrices(
+    p: int, s: int, budget: Budget = DEFAULT_BUDGET
+) -> list[Matrix]:
+    """All invertible s x s matrices over F_p, in itertools.product order
+    over the entries: automorphism_chunks of C_p^s, their number checked
+    against the closed-form group order |GL(s, p)|."""
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     if s < 1:
         raise ValueError(f"dimension must be >= 1, got {s}")
     budget.check("max_matrix_candidates", p ** (s * s))
-    if s * (p - 1) ** 2 >= 1 << 63:
-        raise ValueError(f"p={p} is too large for int64 matrix products")
-    found = 0
-    for invertible in automorphism_chunks(AbelianGroup(((p, 1),) * s)):
-        found += len(invertible)
-        yield invertible
-    expected = general_linear_order(p, s)
-    if found != expected:
-        raise IntegralityError(
-            f"found {found} invertible matrices over F_{p}^{s}, "
-            f"expected {expected}"
-        )
-
-
-def enumerate_invertible_matrices(
-    p: int, s: int, budget: Budget = DEFAULT_BUDGET
-) -> list[Matrix]:
-    """All invertible s x s matrices over the p-element field.
-
-    The count is checked against the closed-form group order, so this
-    doubles as a consistency gate for the batched kernel test.
-    """
-    return [
+    matrices = [
         tuple(tuple(row) for row in mat)
-        for chunk in _invertible_matrix_chunks(p, s, budget)
+        for chunk in automorphism_chunks(AbelianGroup(((p, 1),) * s))
         for mat in chunk.tolist()
     ]
+    if len(matrices) != general_linear_order(p, s):
+        raise IntegralityError(f"listed {len(matrices)} matrices of GL({s}, {p})")
+    return matrices
 
 
 def matrix_scan_census(
@@ -397,45 +368,16 @@ def matrix_scan_census(
     """Invertible s x s matrices over F_p tallied by exponent profile.
 
     A matrix power A**r fixes p**c_r vectors, c_r = corank(A**r - I).  The
-    matrices come from the batched scan of all p**(s*s) candidates, with one
-    kernel_exponents row each.  At n = 1 that is the census.  Otherwise each
-    c(B) is stored in an int8 table over the candidates, indexed by the
-    entries of B read as base-p digits, and -1 where B is singular; a
-    second pass decodes the invertible A from the table and reads c(A**r)
-    at the index of A**r, r = 2..n.  A power that lands on -1 raises
-    IntegralityError.
+    census is abelian.kernel_census on C_p^s, one GL(s, p) block with no
+    class search, once the p**(s*s) candidates pass max_matrix_candidates;
+    kernel_census prices them, or |GL(s, p)| at n = 1, by max_endo_candidates.
     """
     if s < 1:
         raise ValueError(f"rank must be >= 1, got {s}")
     if n < 1:
         raise ValueError(f"tuple length must be >= 1, got {n}")
-    # Checked again by the scan; here it also prices the table.
     budget.check("max_matrix_candidates", p ** (s * s))
-    census: Counter = Counter()
-    space, identity = AbelianGroup(((p, 1),) * s), np.eye(s, dtype=np.int64)
-    place = p ** np.arange(s * s - 1, -1, -1, dtype=np.int64)
-    table = np.full(p ** (s * s), -1, dtype=np.int8) if n > 1 else None
-    for mats in _invertible_matrix_chunks(p, s, budget):
-        coranks = kernel_exponents(space, mats - identity).astype(np.int8)
-        if n > 1:
-            table[mats.reshape(-1, s * s) @ place] = coranks
-        else:
-            tally_rows(census, coranks[:, None])
-    if n == 1:
-        return dict(census)
-    for lo in range(0, len(table), MATRIX_CHUNK):
-        index = lo + np.flatnonzero(table[lo : lo + MATRIX_CHUNK] >= 0)
-        mats = (index[:, None] // place % p).reshape(-1, s, s)
-        profiles = np.empty((len(index), n), dtype=np.int8)
-        profiles[:, 0] = table[index]
-        power = mats
-        for r in range(1, n):
-            power = power @ mats % p
-            profiles[:, r] = table[power.reshape(-1, s * s) @ place]
-        if (profiles < 0).any():
-            raise IntegralityError(f"a power of an invertible matrix over F_{p}^{s} is singular")
-        tally_rows(census, profiles)
-    return dict(census)
+    return kernel_census(AbelianGroup(((p, 1),) * s), n, budget)
 
 
 def n_elementary_abelian(p: int, s: int, n: int, budget: Budget = DEFAULT_BUDGET) -> int:

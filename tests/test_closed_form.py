@@ -349,6 +349,21 @@ def test_n_elementary_abelian_rank_one_matches_cyclic():
 def test_n_elementary_abelian_budget():
     with pytest.raises(BudgetExceededError):
         n_elementary_abelian(2, 5, 1)
+    # The limit and size that verify prints when it skips the witness.
+    for n in (1, 2):
+        with pytest.raises(BudgetExceededError) as excinfo:
+            n_elementary_abelian(2, 5, n)
+        assert excinfo.value.limit_name == "max_matrix_candidates"
+        assert excinfo.value.required == 2**25
+
+
+def test_n_elementary_abelian_prices_the_listing_by_the_endo_limit():
+    # With the matrix limit raised, kernel_census prices the |GL(5, 2)|
+    # automorphisms it would list at n = 1 under max_endo_candidates.
+    with pytest.raises(BudgetExceededError) as excinfo:
+        n_elementary_abelian(2, 5, 1, Budget(max_matrix_candidates=2**25))
+    assert excinfo.value.limit_name == "max_endo_candidates"
+    assert excinfo.value.required == general_linear_order(2, 5) == 9_999_360
 
 
 # Every (p, s) with p**(s*s) <= 2**16 for the primes up to 13: the matrix
@@ -385,6 +400,27 @@ def test_matrix_scan_census_matches_one_elimination_per_power(p, s):
     for n in range(1, 5):
         reference = Counter(tuple(profile[:n]) for profile in profiles)
         assert matrix_scan_census(p, s, n) == dict(reference), (p, s, n)
+
+
+@pytest.mark.parametrize("p, s", [(2, 3), (3, 2)])
+@pytest.mark.parametrize("n", [1, 4])
+def test_matrix_scan_census_runs_through_the_abelian_kernel(monkeypatch, p, s, n):
+    # abelian.kernel_exponents sees the p**(s*s) candidates that
+    # general_linear_chunks tests, then one row per invertible matrix that
+    # kernel_census eliminates, and no row per power.
+    space = abelian.AbelianGroup(((p, 1),) * s)
+    eliminated = []
+    real = abelian.kernel_exponents
+
+    def counted(group, stack):
+        if group == space:
+            eliminated.append(len(stack))
+        return real(group, stack)
+
+    monkeypatch.setattr(abelian, "kernel_exponents", counted)
+    census = matrix_scan_census(p, s, n)
+    assert sum(census.values()) == general_linear_order(p, s)
+    assert sum(eliminated) == p ** (s * s) + general_linear_order(p, s)
 
 
 # k(GL(s, p)), the number of conjugacy classes.
