@@ -281,12 +281,13 @@ def cmd_verify(args, budget: Budget) -> int:
     ok = report.ok and not mismatches
 
     if args.format == "json":
+        # vars() gives the fields in order without asdict's deep copies.
         payload = {
             "cases": [
-                asdict(c) | {"values": _strings(c.values)} for c in report.cases
+                vars(c) | {"values": _strings(c.values)} for c in report.cases
             ],
             "references": [
-                asdict(r) | {"expected": str(r.expected), "computed": _strings(r.computed)}
+                vars(r) | {"expected": str(r.expected), "computed": _strings(r.computed)}
                 for r in references
             ],
             "disagreements": len(report.disagreements),

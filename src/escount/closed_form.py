@@ -47,7 +47,7 @@ from .glclasses import general_linear_order, gl_class_census
 from .numtheory import (
     CycleType,
     cycle_index_sum,
-    cycle_type_rows,
+    cycle_type_blocks,
     cycle_types,
     divisors,
     euler_phi,
@@ -230,10 +230,8 @@ def n_cyclic(m: int, n: int) -> int:
 # r-th power of each counted automorphism fixes p**c_r elements.
 PrimeCensus = tuple[int, Mapping[tuple[int, ...], int]]
 
-# Cycle types evaluated together by census_sum_by_cycle_type.
-TYPE_CHUNK = 64
 # Cycle-type steps that one profile step costs, as timed in cheaper_census_sum.
-PROFILE_STEP_COST = 2
+PROFILE_STEP_COST = 3
 
 
 def unit_orders(p: int, e: int) -> dict[tuple[int, ...], int]:
@@ -258,9 +256,11 @@ def unit_census(p: int, e: int, n: int) -> dict[tuple[int, ...], int]:
     """
     census: dict[tuple[int, ...], int] = {}
     for orders, count in unit_orders(p, e).items():
-        profile = tuple(
-            sum(r % order == 0 for order in orders) for r in range(1, n + 1)
-        )
+        levels = [0] * n
+        for order in orders:
+            for r in range(order, n + 1, order):
+                levels[r - 1] += 1
+        profile = tuple(levels)
         census[profile] = census.get(profile, 0) + count
     found, expected = sum(census.values()), euler_phi(p**e)
     if found != expected:
@@ -295,11 +295,13 @@ def census_sum_by_cycle_type(censuses: Sequence[PrimeCensus], n: int) -> int:
     For a cycle type lambda with m_r r-cycles, the automorphism sum of
     prod_r f_r**(2 m_r) factors over the primes, so the total is
     sum_lambda (n!/z_lambda) prod_p sum_census count * p**(2 <c, m>).  The
-    rows of numtheory.cycle_type_rows are read TYPE_CHUNK at a time; the
-    exponents <c, m> for a chunk and every census entry of a prime are one
-    integer matrix product, and the powers come from a per-prime table.
-    About p(n) * (sum_p |census_p| + n) steps of about 0.15 us; memory grows
-    with TYPE_CHUNK, not with p(n).  The n!/z_lambda read must add up to n!.
+    types come as the int8 blocks of numtheory.cycle_type_blocks, one at a
+    time; the exponents <c, m> for a block and every census entry of a
+    prime are one integer matrix product, in the narrowest type that holds
+    n * max c, and the powers come from a per-prime table.  About
+    p(n) * (sum_p |census_p| + n) steps of about 0.05 us; memory grows with
+    the block size, not with p(n), as each block is dropped before the next
+    is built.  The n!/z_lambda read must add up to n!.
     """
     tables = []
     for p, census in censuses:
@@ -307,17 +309,15 @@ def census_sum_by_cycle_type(censuses: Sequence[PrimeCensus], n: int) -> int:
         counts = np.array(list(census.values()), dtype=object)
         top = int(profiles.max(initial=0)) * n
         powers = np.array([p ** (2 * x) for x in range(top + 1)], dtype=object)
-        tables.append((profiles.T, counts, powers))
+        tables.append((profiles.T.astype(np.min_scalar_type(top)), counts, powers))
     total = permutations = 0
-    rows = cycle_type_rows(n)
-    while chunk := list(itertools.islice(rows, TYPE_CHUNK)):
-        types, weights = zip(*chunk)
-        multiplicities = np.array(types, dtype=np.int64)
-        terms = np.array(weights, dtype=object)
-        permutations += sum(weights)
+    for multiplicities, weights in cycle_type_blocks(n):
+        permutations += weights.sum()
+        terms = weights
         for profiles, counts, powers in tables:
             terms = terms * (powers[multiplicities @ profiles] @ counts)
         total += int(terms.sum())
+        del multiplicities, weights, terms
     if permutations != math.factorial(n):
         raise IntegralityError(f"cycle types of S_{n} cover {permutations} permutations")
     return total
@@ -330,8 +330,8 @@ def cheaper_census_sum(
 
     The estimates count steps as the two evaluators' docstrings do.  Timed
     on 54 cyclic cases (orders 12 to 720720, n = 6..30; 2-vCPU Xeon, Python
-    3.11), a profile step took a median of 0.21 us and a cycle-type step
-    0.085 us, so a profile step counts as PROFILE_STEP_COST of them.
+    3.11), a profile step took a median of 0.16 us and a cycle-type step
+    0.05 us, so a profile step counts as PROFILE_STEP_COST of them.
     """
     sizes = [len(census) for _, census in censuses]
     by_profile = PROFILE_STEP_COST * math.prod(sizes) * n * n // 2

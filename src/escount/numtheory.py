@@ -10,10 +10,13 @@ delta_vector classifies a listed unit by inverting the same map.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterator, Mapping, Sequence
+
+import numpy as np
 
 from .budget import IntegralityError
 
@@ -156,34 +159,128 @@ class CycleType:
         return cls(tuple(mult))
 
 
-def cycle_type_rows(n: int) -> Iterator[tuple[tuple[int, ...], int]]:
-    """Each cycle type on n points as (multiplicities, n!/z_lambda), in
-    cycle_types' order, with no CycleType objects and no validation.
+# Rows in one block of cycle_type_blocks, and at most in one tail table.
+TYPE_CHUNK = 512
 
-    The next type raises m_t for the least t >= 2 whose shorter cycles hold
-    at least t points, clears the lengths 2..t-1 and puts the rest in m_1;
-    z = prod_{t>=2} t**m_t * m_t! follows by exact products and quotients.
+
+@lru_cache(maxsize=8)
+def _cycle_type_tails(n: int, size: int) -> tuple[int, np.ndarray, np.ndarray]:
+    """The longest cycle length t such that at most `size` cycle types of
+    S_n have no longer cycle, and those types in cycle_types' order, as a
+    read-only (k, n) int8 multiplicity table and the object array of their
+    n!/z_lambda.
+
+    At most one cycle is longer than n / 2, so those lengths give one row
+    each.  The rest is vectorised expansion from length n // 2 down to 2:
+    each row so far is repeated once for every number of the next shorter
+    cycles that its free points allow, so that longer lengths vary slowest;
+    the free points left are the fixed points.
     """
-    if n < 1:
-        raise ValueError(f"cycle types need n >= 1, got {n}")
+    ways, t = [1] * (n + 1), 1  # partitions of 0..n into parts <= t
+    while t < n:
+        longer = ways.copy()
+        for total in range(t + 1, n + 1):
+            longer[total] += longer[total - t - 1]
+        if longer[n] > size:
+            break
+        ways, t = longer, t + 1
+    single = range(max(2, n // 2 + 1), t + 1)
+    rows = np.zeros((1 + len(single), n), dtype=np.int8)
+    for row, length in enumerate(single, start=1):
+        rows[row, length - 1] = 1
+    used = np.array([0, *single])
+    z = np.array([1, *single], dtype=object)
+    for length in range(min(t, n // 2), 1, -1):
+        choices = (n - used) // length + 1
+        parent = np.arange(len(rows)).repeat(choices)
+        m = np.arange(len(parent)) - (choices.cumsum() - choices).repeat(choices)
+        rows = rows[parent]
+        rows[:, length - 1] = m
+        used = used[parent] + length * m
+        zs = [length**i * math.factorial(i) for i in range(n // length + 1)]
+        z = z[parent] * np.array(zs, dtype=object)[m]
+    rows[:, 0] = n - used
+    fact = np.array([math.factorial(i) for i in range(n + 1)], dtype=object)
+    weights = fact[n] // (fact[rows[:, 0]] * z)
+    rows.flags.writeable = weights.flags.writeable = False
+    return t, rows, weights
+
+
+def _long_cycles(n: int, t: int) -> Iterator[tuple[bytes, int, int]]:
+    """Each choice of cycles longer than t on at most n points, in
+    cycle_types' order, as (the multiplicities of the lengths t+1..n, the
+    points j they use, z = prod_l l**m_l * m_l!).
+
+    The next choice raises m_l for the least l > t such that the free
+    points and those on the lengths t+1..l-1 make at least l, and frees
+    those lengths; the points on lengths <= t count as free.
+    """
     fact = [math.factorial(k) for k in range(n + 1)]
-    m = [0, n] + [0] * (n - 1)  # m[t] for 1 <= t <= n
-    z = 1
+    m = [0] * (n + 1)  # m[l] for t < l <= n
+    j, z = 0, 1
     while True:
-        yield tuple(m[1:]), fact[n] // (fact[m[1]] * z)
-        free, t = m[1], 2
-        while free < t:
-            if t > n:
+        yield bytes(m[t + 1 :]), j, z
+        free, length = n - j, t + 1
+        while free < length:
+            if length > n:
                 return
-            free += t * m[t]
-            t += 1
-        for s in range(2, t):
-            if m[s]:
-                z //= s ** m[s] * fact[m[s]]
-                m[s] = 0
-        m[t] += 1
-        z *= t * m[t]
-        m[1] = free - t
+            free += length * m[length]
+            length += 1
+        for shorter in range(t + 1, length):
+            if m[shorter]:
+                z //= shorter ** m[shorter] * fact[m[shorter]]
+                m[shorter] = 0
+        m[length] += 1
+        z *= length * m[length]
+        j = n - free + length
+
+
+def cycle_type_blocks(
+    n: int, size: int = TYPE_CHUNK
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Each cycle type of S_n, 1 <= n <= 127, in cycle_types' order, as
+    blocks of at most `size` >= 1 rows: a (k, n) int8 multiplicity table
+    and the object array of each row's n!/z_lambda, which must not be
+    written to.
+
+    _cycle_type_tails(n, size) holds the types with no cycle longer than
+    some t.  Each choice of longer cycles on j points (_long_cycles) is
+    joined by one gather to the tail types with at least j fixed points, j
+    of which it takes over: a type's count is its tail's n!/z_tail times
+    (f + j)! / (f! z_long), f its fixed points.  A block holds whole
+    choices; when t = n the one block is the tail table itself.
+    """
+    if not 1 <= n <= 127:
+        raise ValueError(f"cycle types need 1 <= n <= 127 for int8 rows, got {n}")
+    t, tails, tail_weights = _cycle_type_tails(n, size)
+    if t == n:
+        yield tails, tail_weights
+        return
+    fixed = tails[:, 0]
+    fact = np.array([math.factorial(k) for k in range(n + 1)], dtype=object)
+    at_least = np.cumsum(np.bincount(fixed, minlength=n + 1)[::-1])[::-1].tolist()
+
+    def joined(batch):
+        heads, points, z = zip(*batch)
+        counts = [at_least[j] for j in points]
+        selected = {j: np.flatnonzero(fixed >= j) for j in set(points)}
+        index = np.concatenate([selected[j] for j in points])
+        block = tails[index]
+        block[:, 0] -= np.repeat(np.array(points, dtype=np.int8), counts)
+        head = np.frombuffer(b"".join(heads), dtype=np.int8).reshape(len(heads), n - t)
+        block[:, t:] = np.repeat(head, counts, axis=0)
+        weights = tail_weights[index] * fact[fixed[index]]
+        weights //= fact[block[:, 0]] * np.repeat(np.array(z, dtype=object), counts)
+        return block, weights
+
+    batch, rows = [], 0
+    for choice in _long_cycles(n, t):
+        if rows + at_least[choice[1]] > size:
+            yield joined(batch)
+            batch, rows = [], 0
+        batch.append(choice)
+        rows += at_least[choice[1]]
+    yield joined(batch)
 
 
 def cycle_types(n: int) -> Iterator[CycleType]:
@@ -193,8 +290,9 @@ def cycle_types(n: int) -> Iterator[CycleType]:
     (multiplicities of long cycles vary slowest), so the all-fixed-points
     type comes first and the single n-cycle comes last.
     """
-    for multiplicities, _ in cycle_type_rows(n):
-        yield CycleType(multiplicities)
+    for block, _ in cycle_type_blocks(n):
+        for multiplicities in block.tolist():
+            yield CycleType(tuple(multiplicities))
 
 
 def cycle_index_sum(census: Mapping[Sequence[int], int], n: int) -> int:
@@ -217,13 +315,13 @@ def cycle_index_sum(census: Mapping[Sequence[int], int], n: int) -> int:
         if len(profile) != n:
             raise ValueError(f"profile {tuple(profile)} does not have length {n}")
         a = [int(f) ** 2 for f in profile]
-        u = [start]
+        u = [start]  # U_(k-1), ..., U_0
         for k in range(1, n + 1):
-            term, remainder = divmod(sum(a[r] * u[k - 1 - r] for r in range(k)), k)
+            term, remainder = divmod(sum(map(operator.mul, a, u)), k)
             if remainder:
                 raise IntegralityError(f"U_{k} of profile {tuple(profile)} is not integral")
-            u.append(term)
-        total += int(mult) * u[n]
+            u.insert(0, term)
+        total += int(mult) * u[0]
     return total
 
 

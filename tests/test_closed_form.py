@@ -200,7 +200,7 @@ def test_closed_count_cyclic_matches_n_cyclic():
 
 
 @pytest.mark.parametrize(
-    "m, n", [(720720, 10), (8640, 12), (4096, 15), (1, 4), (8640, 25)]
+    "m, n", [(720720, 10), (8640, 12), (4096, 15), (1, 4), (8640, 25), (8640, 40)]
 )
 def test_census_evaluators_agree(m, n):
     censuses = [(p, unit_census(p, e, n)) for p, e in factorize(m)]
@@ -226,13 +226,14 @@ def test_census_evaluator_choice():
 
 def test_census_sum_by_cycle_type_checks_the_permutation_total(monkeypatch):
     def drop_one(n):
-        rows = numtheory.cycle_type_rows(n)
-        next(rows)
-        yield from rows
+        blocks = numtheory.cycle_type_blocks(n)
+        multiplicities, weights = next(blocks)
+        yield multiplicities[1:], weights[1:]
+        yield from blocks
 
     censuses = [(p, unit_census(p, e, 6)) for p, e in factorize(12)]
     assert census_sum_by_cycle_type(censuses, 6) == census_sum_by_profile(censuses, 6)
-    monkeypatch.setattr(closed_form, "cycle_type_rows", drop_one)
+    monkeypatch.setattr(closed_form, "cycle_type_blocks", drop_one)
     with pytest.raises(IntegralityError):
         census_sum_by_cycle_type(censuses, 6)
 

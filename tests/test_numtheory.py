@@ -5,12 +5,14 @@ from collections import Counter
 from fractions import Fraction
 from itertools import permutations
 
+import numpy as np
 import pytest
 
+from escount import numtheory
 from escount.numtheory import (
     CycleType,
     cycle_index_sum,
-    cycle_type_rows,
+    cycle_type_blocks,
     cycle_types,
     delta_census,
     delta_vector,
@@ -131,20 +133,35 @@ def test_cycle_types_invariants():
         list(cycle_types(0))
 
 
-def test_cycle_type_rows_match_the_partitions():
-    for n in range(1, 21):
-        rows = list(cycle_type_rows(n))
-        forms = {
-            tuple(part.count(t) for t in range(1, n + 1))
-            for part in integer_partitions(n)
-        }
-        assert len(rows) == len(forms) == partition_count(n)
-        assert {row for row, _ in rows} == forms
-        for row, count in rows:
-            assert count == CycleType(row).permutation_count(), row
-        assert sum(count for _, count in rows) == math.factorial(n)
+def test_cycle_type_blocks_match_the_partitions():
+    """Every type once, in cycle_types' documented order, with its n!/z,
+    for the default block size and for 50 rows, where n >= 11 crosses
+    long-cycle prefixes, joins them to the tail table and splits the types
+    over several blocks."""
+    for size in (numtheory.TYPE_CHUNK, 50):
+        for n in range(1, 31):
+            blocks = list(cycle_type_blocks(n, size))
+            assert all(len(rows) <= size and rows.dtype == np.int8 for rows, _ in blocks)
+            rows = [
+                (tuple(row), count)
+                for block, counts in blocks
+                for row, count in zip(block.tolist(), counts)
+            ]
+            reversed_rows = [row[::-1] for row, _ in rows]
+            assert reversed_rows == sorted(reversed_rows)
+            forms = {
+                tuple(part.count(t) for t in range(1, n + 1))
+                for part in integer_partitions(n)
+            }
+            assert len(rows) == len(forms) == partition_count(n)
+            assert {row for row, _ in rows} == forms
+            for row, count in rows:
+                assert count == CycleType(row).permutation_count(), row
+            assert sum(count for _, count in rows) == math.factorial(n)
     with pytest.raises(ValueError):
-        list(cycle_type_rows(0))
+        list(cycle_type_blocks(0))
+    with pytest.raises(ValueError):
+        list(cycle_type_blocks(128))
 
 
 def test_cycle_type_validation():
