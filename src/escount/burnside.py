@@ -15,13 +15,16 @@ them with _image_index.
 The naive scan (fixed_point_report) uses that a pair (phi, sigma) moves
 elements and characters apart: it fixes a state exactly when it fixes the
 state's element n-tuple and its character n-tuple, so it fixes E * C states.
-Each half is scanned over its m**n tuples in the blocks of _blocks.  Per
-batch of automorphisms and block it builds the n x n match masks
-M[j, t] = [phi(x_j) = x_t], packed into 64-bit words; for a whole batch of
-permutations the fixed tuples of (phi, sigma) are the set bits of
-AND_j M[j, sigma(j)]; the permutations come as int8 tables
-(permutation_chunks).  Every temporary stays within about PROFILE_CHUNK
-bytes (int64 image cells for the image arrays), whatever the budget.
+Each half is scanned over its m**n tuples in the blocks of _blocks, both
+halves in one pass: a batch's element images and character images are
+stacked as the rows of one image map.  Per batch of automorphisms and block
+it builds the n x n match masks M[j, t] = [phi(x_j) = x_t] of every row,
+packed into 64-bit words; for a whole batch of permutations the fixed tuples
+of (phi, sigma) are the set bits of AND_j M[j, sigma(j)]; the permutations
+come as int8 tables (permutation_chunks), and all of S_n, when it fits one
+chunk, as one cached table labelled once per n (_permutation_table).  Every
+temporary stays within about PROFILE_CHUNK bytes (int64 image cells for the
+image arrays), whatever the budget.
 """
 from __future__ import annotations
 
@@ -30,7 +33,8 @@ import math
 import operator
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterator
+from functools import lru_cache
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -210,11 +214,15 @@ def popcount(words: np.ndarray) -> np.ndarray:
 
     Each byte is looked up in a 256-entry table (numpy >= 2 has
     bitwise_count, the declared floor does not); the eight byte counts of a
-    word, at most 8 each, are summed into its top byte by one multiply.
+    word, at most 8 each, are summed into its top byte by one multiply.  The
+    multiply and the shift work in place on the lookup's copy, so `words`
+    is left as it is and no third copy is made; np.take itself reads the
+    bytes through an intp copy of them, 8 bytes per byte.
     """
-    per_byte = np.take(_BYTE_POPCOUNT, words.view(np.uint8)).view(np.uint64)
-    per_word = (per_byte * np.uint64(0x0101010101010101)) >> np.uint64(56)
-    return per_word.sum(axis=-1, dtype=np.int64)
+    counts = np.take(_BYTE_POPCOUNT, words.view(np.uint8)).view(np.uint64)
+    counts *= np.uint64(0x0101010101010101)
+    counts >>= np.uint64(56)
+    return counts.sum(axis=-1, dtype=np.int64)
 
 
 def _prefixed(n: int, lead: list, tail: np.ndarray) -> np.ndarray:
@@ -275,6 +283,29 @@ def permutation_cycle_types(perms: np.ndarray) -> tuple[list[CycleType], np.ndar
     return [CycleType.from_permutation(row) for row in perms[first].tolist()], labels.reshape(-1)
 
 
+@lru_cache(maxsize=8)
+def _permutation_table(n: int) -> tuple[np.ndarray, tuple[CycleType, ...], np.ndarray]:
+    """All of S_n as the one table of permutation_chunks, its distinct
+    cycle types and each row's label, from permutation_cycle_types; the
+    arrays are read-only."""
+    (sigmas,) = permutation_chunks(n, math.factorial(n))
+    ctypes, labels = permutation_cycle_types(sigmas)
+    sigmas.flags.writeable = labels.flags.writeable = False
+    return sigmas, tuple(ctypes), labels
+
+
+def _labelled_chunks(
+    n: int, size: int
+) -> Iterator[tuple[np.ndarray, Sequence[CycleType], np.ndarray]]:
+    """The permutation_chunks of at most `size` rows, each with its cycle
+    types and labels; S_n in one chunk comes from _permutation_table."""
+    if math.factorial(n) <= size:
+        yield _permutation_table(n)
+        return
+    for sigmas in permutation_chunks(n, size):
+        yield sigmas, *permutation_cycle_types(sigmas)
+
+
 def _words(states: int) -> int:
     """64-bit words that hold one bit per state."""
     return -(-states // 64)
@@ -283,15 +314,21 @@ def _words(states: int) -> int:
 def _scan_plan(
     group: AbelianGroup, n: int, n_autos: int, n_sigmas: int
 ) -> tuple[int, int, int]:
-    """Sizes for the naive scan of one half: (free digits, batch, per_pass).
+    """Sizes for the naive scan of both halves: (free digits, batch,
+    per_pass).
 
     A block of n-tuples fixes the leading n - free digits and runs over the
     last `free`; it is at least one mask word, and otherwise small enough
-    that its n x n packed masks and its boolean mask fit in PROFILE_CHUNK
-    bytes.  `batch` automorphisms share one pass over a block, and
-    `per_pass` permutations share one AND pass over the masks, so that the
-    masks, the boolean mask, the (batch, n_sigmas) count table and the AND
-    accumulator each stay within PROFILE_CHUNK bytes.
+    that one row's n x n packed masks and boolean mask fit in PROFILE_CHUNK
+    bytes.  `batch` automorphisms share one pass over a block, with two
+    image rows each (elements and characters), so that the masks, the
+    boolean mask and the (2 * batch, n_sigmas) count table of the 2 * batch
+    rows each stay within PROFILE_CHUNK bytes.  `per_pass` permutations
+    share one AND pass over the masks; per row, mask word and permutation
+    its temporaries take under 128 bytes together (the AND accumulator and
+    one gathered operand, 8 each, popcount's lookup copy, 8, and the intp
+    copy that np.take makes of the looked-up bytes, 64), so that they too
+    stay within PROFILE_CHUNK bytes.
     """
     m = group.order
 
@@ -302,8 +339,8 @@ def _scan_plan(
     free = max(f for f in range(n + 1) if fits(f))
     words = _words(m**free)
     per_auto = max(8 * n * n * words, m**free, m * m, 8 * n_sigmas)
-    batch = max(1, min(n_autos, _batch_size(group), PROFILE_CHUNK // per_auto))
-    per_pass = max(1, min(n_sigmas, PROFILE_CHUNK // (64 * batch * words)))
+    batch = max(1, min(n_autos, _batch_size(group), PROFILE_CHUNK // (2 * per_auto)))
+    per_pass = max(1, min(n_sigmas, PROFILE_CHUNK // (256 * batch * words)))
     return free, batch, per_pass
 
 
@@ -342,10 +379,15 @@ def fixed_point_report(
 ) -> FixedPointReport:
     """Scan every action pair naively and average the fixed-point counts.
 
-    A pair's count is the product of its two halves' _fixed_counts, over
+    A pair's count is the product of its two halves' fixed tuples, over
     automorphism batches and the permutation_chunks of PROFILE_CHUNK // (8n)
-    rows.  Counts must agree within each cycle type, across chunks too, and
-    their total must divide exactly.  The limits price what the scan walks:
+    rows.  One _fixed_counts call per batch and chunk scans both halves:
+    the batch's element images stacked on its character images, split
+    again into the E and C rows of its count table.  When S_n fits one
+    chunk it is the cached _permutation_table, labelled by cycle type once
+    per n; larger n streams its chunks and labels each.  Counts must agree
+    within each cycle type, across chunks too, and their total must divide
+    exactly.  The limits price what the scan walks:
     max_state_space the |G|**n tuples of one half, max_naive_work the
     2 * |G|**n tuples of every pair.  The work limit takes |Aut(G)| from
     automorphism_count, so an oversized scan is refused before any
@@ -362,14 +404,14 @@ def fixed_point_report(
     columns: dict[CycleType, int] = {}
     table = np.full((len(matrices), partition_count(n)), -1, dtype=np.int64)
     total = 0
-    for sigmas in permutation_chunks(n, max(1, PROFILE_CHUNK // (8 * n))):
-        ctypes, labels = permutation_cycle_types(sigmas)
+    for sigmas, ctypes, labels in _labelled_chunks(n, max(1, PROFILE_CHUNK // (8 * n))):
         col = np.array([columns.setdefault(ctype, len(columns)) for ctype in ctypes])[labels]
         free, batch, per_pass = _scan_plan(group, n, len(matrices), len(sigmas))
         for lo, halves in zip(
             range(0, len(matrices), batch), _image_batches(group, matrices, batch)
         ):
-            elements, characters = (_fixed_counts(h, sigmas, free, per_pass) for h in halves)
+            both = _fixed_counts(np.concatenate(halves), sigmas, free, per_pass)
+            elements, characters = np.split(both, 2)
             fixed = elements * characters
             # A type new to the table takes one of its counts; if they vary,
             # some count then differs from the stored one.

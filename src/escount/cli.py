@@ -20,7 +20,7 @@ from __future__ import annotations
 import csv
 import json
 import sys
-from dataclasses import asdict, astuple, dataclass, fields
+from dataclasses import astuple, dataclass, fields
 from types import SimpleNamespace
 from typing import Callable, NamedTuple, NoReturn
 
@@ -78,7 +78,8 @@ def _emit_csv(records: list[OutputRecord], out) -> None:
 
 
 def _emit_json(records: list[OutputRecord], out) -> None:
-    json.dump([asdict(r) for r in records], out, indent=2)
+    # vars() gives the fields in order without asdict's deep copies.
+    json.dump([vars(r) for r in records], out, indent=2)
     out.write("\n")
 
 

@@ -401,6 +401,59 @@ def test_fixed_point_report_matches_state_images_per_pair(group, n):
             assert report.counts[key] == fixed_points_naive((auto, sigma)), (a_idx, sigma)
 
 
+# (group, n, total, orbit count): totals frozen from the scan that called
+# _fixed_counts once per half.
+STACKED_SCAN_CASES = [
+    ("C2^3", 2, 13440, 40),
+    ("C2", 7, 604800, 120),
+    ("C4", 4, 95808, 1996),
+    ("C2xC4", 2, 5824, 364),
+]
+
+
+@pytest.mark.parametrize("spec,n,total,orbits", STACKED_SCAN_CASES)
+def test_stacked_scan_reports_are_unchanged(monkeypatch, spec, n, total, orbits):
+    """Both halves in one _fixed_counts call give the same report with the
+    S_n table cold and warm, and on the streamed chunks of a chunk size
+    one row too small for S_n."""
+    group = parse_group(spec)
+    autos = enumerate_automorphisms(group)
+    expected = {
+        (a_idx, ctype): fixed_points_by_cycles(auto, ctype)
+        for a_idx, auto in enumerate(autos)
+        for ctype in cycle_types(n)
+    }
+    table = burnside._permutation_table
+
+    def check():
+        report = fixed_point_report(group, n)
+        assert (report.counts, report.total, report.orbit_count) == (expected, total, orbits)
+
+    table.cache_clear()
+    check()
+    check()
+    assert (table.cache_info().misses, table.cache_info().hits) == (1, 1)
+    monkeypatch.setattr(burnside, "PROFILE_CHUNK", 8 * n * (math.factorial(n) - 1))
+    check()
+    assert (table.cache_info().misses, table.cache_info().hits) == (1, 1)
+
+
+def test_permutation_table_is_cached_read_only_and_bounded():
+    n = 5
+    sigmas, ctypes, labels = burnside._permutation_table(n)
+    (chunk,) = permutation_chunks(n, math.factorial(n))
+    assert np.array_equal(sigmas, chunk)
+    expected_types, expected_labels = permutation_cycle_types(chunk)
+    assert ctypes == tuple(expected_types)
+    assert np.array_equal(labels, expected_labels)
+    for array in (sigmas, labels):
+        assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            array[0] = 0
+    assert burnside._permutation_table(n)[0] is sigmas
+    assert burnside._permutation_table.cache_info().maxsize == 8
+
+
 @pytest.mark.parametrize("n", range(1, 10))
 def test_permutation_chunks_list_permutations_of_in_order(n):
     expected = np.array(list(permutations_of(n)), dtype=np.int8).reshape(-1, n)
@@ -441,6 +494,13 @@ def test_popcount_matches_bin_on_every_byte():
     assert popcount(words).tolist() == expected
 
 
+def test_popcount_leaves_its_input_words_unchanged():
+    words = np.random.default_rng(3).integers(0, 1 << 63, size=(4, 2, 5), dtype=np.uint64)
+    before = words.copy()
+    popcount(words)
+    assert np.array_equal(words, before)
+
+
 @pytest.mark.parametrize("spec,total", [("C2^2", 29), ("C2^3", 836)])
 def test_every_average_is_checked_for_integrality(monkeypatch, spec, total):
     """With one automorphism dropped the acting set is no group, and the
@@ -460,7 +520,8 @@ def test_every_average_is_checked_for_integrality(monkeypatch, spec, total):
 @pytest.mark.parametrize("chunk", [1 << 20, 1])
 def test_a_count_varying_within_a_cycle_type_is_refused(monkeypatch, chunk):
     """Counts shifted by sigma(0) vary among the transpositions of S_3: in
-    one permutation chunk, or across chunks of one permutation each."""
+    the one cached table of S_3, or across streamed chunks of one
+    permutation each."""
     half_scan = burnside._fixed_counts
 
     def shifted(images, sigmas, *plan):
@@ -487,7 +548,8 @@ def test_naive_scan_reads_the_character_half(monkeypatch, spec, n, unmoved_count
 def test_fixed_point_report_memory_is_bounded_by_the_chunk(monkeypatch):
     """C4 at n=4 has 65,536 states; 2n int64 digit arrays over them take
     4 MiB.  The scan reads each half's 256 tuples, never the joint states;
-    under a 4 KiB chunk it peaked at about 24 KB."""
+    under a 4 KiB chunk it peaked at about 24 KB, and with both halves in
+    one scan at 25-31 KB."""
     group = parse_group("C4")
     enumerate_automorphisms(group)
     monkeypatch.setattr(burnside, "PROFILE_CHUNK", 1 << 12)
@@ -516,7 +578,9 @@ def test_fixed_point_report_memory_is_bounded_by_the_chunk(monkeypatch):
 def test_naive_scan_memory_on_s7():
     """C2 at n=7 scans 5,040 permutations in one chunk.  As Python tuples,
     packed into an intp table and keyed by 56-byte rows, they peaked at
-    2.6-2.9 MB; as int8 rows with one int64 key each, at about 1.0 MB."""
+    2.6-2.9 MB; as int8 rows with one int64 key each, at about 1.0 MB; with
+    both halves in one scan and the AND pass sized for np.take's intp copy,
+    at about 0.85 MB."""
     group = parse_group("C2")
     enumerate_automorphisms(group)
     tracemalloc.start()

@@ -117,6 +117,27 @@ def test_count_json_format(capsys):
     assert isinstance(payload[0]["count"], str)
 
 
+def test_json_records_match_asdict(capsys, monkeypatch):
+    """count and table write each record from its fields; the bytes equal
+    those of the records' dataclasses.asdict copies."""
+    emitted = []
+
+    def emit_json(records, out):
+        emitted.append(records)
+        cli._emit_json(records, out)
+
+    monkeypatch.setitem(cli._EMITTERS, "json", emit_json)
+    for argv in (
+        ["count", "--group", "C2xC4", "--n", "2", "--method", "all", "--format", "json"],
+        ["table", "--groups", "C2,C12,C2^21", "--n", "1", "--format", "json"],
+    ):
+        _, out, _ = run_cli(argv, capsys)
+        expected = io.StringIO()
+        json.dump([dataclasses.asdict(r) for r in emitted[-1]], expected, indent=2)
+        assert out == expected.getvalue() + "\n", argv
+    assert [len(records) for records in emitted] == [3, 2]
+
+
 def test_count_csv_format(capsys):
     code, out, _ = run_cli(
         ["count", "--group", "C3", "--n", "2", "--format", "csv"], capsys

@@ -220,7 +220,8 @@ def test_census_evaluator_choice():
     assert chosen(360, 40) is census_sum_by_profile
     assert chosen(4096, 25) is census_sum_by_profile
     # C8640 has 162 profile combinations from 18 per-prime profiles; weighed
-    # as two cycle-type steps each, they cost more than the 1,958 types.
+    # as PROFILE_STEP_COST = 3 cycle-type steps each, 3 * 162 * 25**2 // 2 =
+    # 151,875 steps cost more than the 1,958 types' 1,958 * (18 + 25) = 84,194.
     assert chosen(8640, 25) is census_sum_by_cycle_type
 
 
