@@ -580,9 +580,12 @@ def test_naive_scan_memory_on_s7():
     packed into an intp table and keyed by 56-byte rows, they peaked at
     2.6-2.9 MB; as int8 rows with one int64 key each, at about 1.0 MB; with
     both halves in one scan and the AND pass sized for np.take's intp copy,
-    at about 0.85 MB."""
+    at 0.86-0.87 MB with S_7 built and labelled in the scan (0.78 MB once
+    it is cached)."""
     group = parse_group("C2")
     enumerate_automorphisms(group)
+    # Cold, so that the bound covers building and labelling S_7.
+    burnside._permutation_table.cache_clear()
     tracemalloc.start()
     try:
         report = fixed_point_report(group, 7)
