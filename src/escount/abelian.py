@@ -16,8 +16,8 @@ read-only (k, s, s) int64 stack, sized in advance by the closed-form order
 EndoMatrix items are built, and checked, only when taken.  The closed
 form's census of a p-group (kernel_census) streams the chunks instead and
 caches no automorphism; beside larger factors, a block of b >= 2 factors
-C_p is listed once per GL(b, p) conjugacy class (general_linear_classes),
-while an elementary group is scanned as one block with no class search.
+C_p is listed at one rational canonical form per GL(b, p) conjugacy class
+(glclasses), while an elementary group is scanned as one block.
 """
 from __future__ import annotations
 
@@ -32,8 +32,8 @@ from typing import Callable, Iterable, Iterator, Sequence
 import numpy as np
 
 from .budget import Budget, DEFAULT_BUDGET, IntegralityError, exact_quotient
-from .glclasses import general_linear_order
-from .numtheory import factorize, is_prime, multiplicative_order
+from .glclasses import general_linear_order, gl_class_representatives
+from .numtheory import factorize, is_prime
 
 GroupElement = tuple[int, ...]
 Character = tuple[int, ...]
@@ -274,68 +274,6 @@ def general_linear_chunks(p: int, b: int) -> Iterator[np.ndarray]:
         yield cand[kernel_exponents(space, cand) == 0]
 
 
-def general_linear_classes(
-    p: int, b: int, budget: Budget = DEFAULT_BUDGET
-) -> tuple[np.ndarray, np.ndarray]:
-    """The conjugacy classes of GL(b, p): a read-only (k, b, b) stack of
-    representatives, each the first matrix of its class in the order of
-    general_linear_chunks, and the k class sizes.
-
-    The matrices of general_linear_chunks are labelled by their position.
-    Each pass lowers every label to its image's under conjugation by each
-    generator, I + E_ij (i != j) and diag(w, 1, ..., 1) with w a primitive
-    root mod p, which generate GL(b, p), then jumps every label to its
-    label's label.  A label only ever names a matrix of the same class, so
-    when a pass changes nothing each class carries its least position.
-    The p**(b*b) block space that general_linear_chunks scans is checked
-    against max_matrix_candidates; the classes are computed once per
-    (p, b) in a process.
-    """
-    budget.check("max_matrix_candidates", p ** (b * b))
-    return _general_linear_classes(p, b)
-
-
-@lru_cache(maxsize=8)
-def _general_linear_classes(p: int, b: int) -> tuple[np.ndarray, np.ndarray]:
-    place = p ** np.arange(b * b - 1, -1, -1, dtype=np.int64)
-    keys = np.concatenate(
-        [matrices.reshape(-1, b * b) @ place for matrices in general_linear_chunks(p, b)]
-    )
-    if len(keys) != general_linear_order(p, b):
-        raise IntegralityError(f"listed {len(keys)} matrices of GL({b}, {p})")
-    moves: list = [(i, j) for i in range(b) for j in range(b) if i != j]
-    if p > 2:
-        moves.append(next(w for w in range(2, p) if multiplicative_order(w, p) == p - 1))
-    images = [np.empty(len(keys), dtype=np.int64) for _ in moves]
-    for lo in range(0, len(keys), MATRIX_CHUNK):
-        matrices = (keys[lo : lo + MATRIX_CHUNK, None] // place % p).reshape(-1, b, b)
-        for image, move in zip(images, moves):
-            conjugate = matrices.copy()
-            if isinstance(move, tuple):
-                i, j = move
-                conjugate[:, i] += conjugate[:, j]
-                conjugate[:, :, j] -= conjugate[:, :, i]
-            else:
-                conjugate[:, 0] *= move
-                conjugate[:, :, 0] *= pow(move, -1, p)
-            conjugate %= p
-            image[lo : lo + len(matrices)] = np.searchsorted(
-                keys, conjugate.reshape(-1, b * b) @ place
-            )
-    label = np.arange(len(keys))
-    while True:
-        settled = label.copy()
-        for image in images:
-            np.minimum(label, label[image], out=label)
-        label = label[label]
-        if np.array_equal(label, settled):
-            break
-    first, sizes = np.unique(label, return_counts=True)
-    representatives = (keys[first, None] // place % p).reshape(-1, b, b)
-    representatives.flags.writeable = sizes.flags.writeable = False
-    return representatives, sizes
-
-
 def _candidate_cells(group: AbelianGroup) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The candidate layout as three (s, s) int64 arrays: each cell's digit
     count c = gcd(m_i, m_j), the step m_i / c between its entries, and its
@@ -410,14 +348,14 @@ def _class_blocks(
     map from a stack of automorphisms over them to their int64 weights: a
     block that is a GL(b, p) class representative R weighs its class size,
     and a power R**r (r <= n) that is no representative weighs 0."""
-    representatives, sizes = general_linear_classes(p, b, budget)
+    representatives, sizes = gl_class_representatives(p, b, budget)
     place = p ** np.arange(b * b - 1, -1, -1, dtype=np.int64)
     weight = {}
     power = representatives
     for _ in range(1, n):
         power = power @ representatives % p
         weight.update(dict.fromkeys((power.reshape(-1, b * b) @ place).tolist(), 0))
-    weight.update(zip((representatives.reshape(-1, b * b) @ place).tolist(), sizes.tolist()))
+    weight.update(zip((representatives.reshape(-1, b * b) @ place).tolist(), sizes))
     keys = np.array(sorted(weight), dtype=np.int64)
     weights = np.array([weight[key] for key in keys.tolist()], dtype=np.int64)
 
@@ -442,8 +380,8 @@ def kernel_census(
     r = 2..n at the index of A**r (row i reduced mod m_i, cell digit
     entry // (m_i / c)); a power that lands on -1 raises IntegralityError.
     At n = 1 the first pass is the census and no table is built.  An
-    elementary group C_p^s is one GL(s, p) block, scanned in full with no
-    class search; closed_form.matrix_scan_census is that census.
+    elementary group C_p^s is one GL(s, p) block, scanned in full;
+    closed_form.matrix_scan_census is that census.
 
     A group with b >= 2 factors C_p beside larger ones lists fewer.  Its
     block of those factors is in GL(b, p), and reading that block is a
@@ -455,9 +393,9 @@ def kernel_census(
     tallied with its class size, and those over its powers only fill the
     table.
 
-    At n = 1 max_endo_candidates prices the automorphisms listed; at
-    n >= 2 it prices the candidate space, and so the table's bytes.  The
-    class search prices its block space under max_matrix_candidates.
+    At n = 1 max_endo_candidates prices the automorphisms listed, taking
+    p**b for the class count before any class is built; at n >= 2 it prices
+    the candidate space, and so the table's bytes.
     """
     space = candidate_space(group)
     if n > 1:
@@ -467,11 +405,12 @@ def kernel_census(
     b = group.factors.count((p, 1))
     blocks = weigh = None
     if 2 <= b < s:
+        per_block = exact_quotient(expected, general_linear_order(p, b), f"|Aut({group})|")
+        if n == 1:
+            budget.check("max_endo_candidates", p**b * per_block)
         blocks, weigh = _class_blocks(p, b, n, budget)
-        expected = len(blocks) * exact_quotient(
-            expected, general_linear_order(p, b), f"|Aut({group})| over |GL({b}, {p})|"
-        )
-    if n == 1:
+        expected = len(blocks) * per_block
+    elif n == 1:
         budget.check("max_endo_candidates", expected)
     identity = np.eye(s, dtype=np.int64)
     layout = _candidate_cells(group)

@@ -73,11 +73,8 @@ class Budget:
                            (checked before max_endo_candidates by the
                            elementary witness, which both limits price),
                            and largest bound p^s on the conjugacy classes
-                           of GL(s, p) listed for its class census.  At
-                           every n, closed_count also applies it to the
-                           block space p^(b*b) in which it finds the
-                           classes of GL(b, p) for a Sylow factor with
-                           b >= 2 factors C_p beside larger ones.
+                           of GL(s, p) listed, for the class census or as
+                           representatives (gl_class_representatives).
     """
 
     max_group_order: int = 64

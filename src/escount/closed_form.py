@@ -28,7 +28,7 @@ per-prime block sums for any cyclic group, so n_cyclic_prime_power is its
 single-prime case.  n_cyclic_prime_power_alt regroups the shape sum;
 formula_prime_any_n, the paper's form for C_p, is its e == 1 case.
 n_elementary_abelian tallies the GL(s, p) census by scanning matrices:
-kernel_census on C_p^s, scanned as one block with no class search.
+kernel_census on C_p^s, scanned as one block and not split by class.
 """
 from __future__ import annotations
 
@@ -368,8 +368,8 @@ def matrix_scan_census(
     """Invertible s x s matrices over F_p tallied by exponent profile.
 
     A matrix power A**r fixes p**c_r vectors, c_r = corank(A**r - I).  The
-    census is abelian.kernel_census on C_p^s, one GL(s, p) block with no
-    class search, once the p**(s*s) candidates pass max_matrix_candidates;
+    census is abelian.kernel_census on C_p^s, one GL(s, p) block not split
+    by class, once the p**(s*s) candidates pass max_matrix_candidates;
     kernel_census prices them, or |GL(s, p)| at n = 1, by max_endo_candidates.
     """
     if s < 1:
@@ -412,9 +412,8 @@ def _sylow_census(
     weighted by the class size, and over that block's powers.
 
     max_endo_candidates prices, at n = 1, the automorphisms listed, and at
-    n >= 2 the candidate space, over which the int8 table is kept; the
-    class search prices the p**(b*b) block space under
-    max_matrix_candidates.
+    n >= 2 the candidate space, over which the int8 table is kept
+    (kernel_census); max_matrix_candidates prices p**b, the class bound.
     """
     p, e = sylow.factors[0]
     if sylow.is_cyclic():

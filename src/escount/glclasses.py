@@ -1,19 +1,21 @@
-"""The conjugacy classes of GL(s, p) and the census they give.
-
-GL(s, p) is the automorphism group of C_p^s.  Its classes are listed from
-the monic irreducibles over F_p, tallied by degree and root order, so no
-matrix or polynomial is ever built; each class carries its size and the
-exponents of its powers' fixed-point counts.  closed_form evaluates the
-census they add up to, and its matrix scan stays as the witness.
+"""The conjugacy classes of GL(s, p), the automorphism group of C_p^s,
+walked once (_classes) for two uses.  The census tallies the irreducibles
+over F_p by degree and root order, building no matrix or polynomial; each
+class carries its size and its powers' fixed-point exponents, and
+closed_form evaluates the census, its matrix scan staying as the witness.
+The representatives are rational canonical forms of sieved irreducibles.
 """
 from __future__ import annotations
 
+import functools
+import itertools
 import math
-import operator
 from collections import Counter
-from typing import Iterator
+from typing import Callable, Iterator
 
-from .budget import Budget, DEFAULT_BUDGET, IntegralityError
+import numpy as np
+
+from .budget import Budget, DEFAULT_BUDGET, IntegralityError, exact_quotient
 from .numtheory import (
     divisors,
     euler_phi,
@@ -65,16 +67,77 @@ def _centralizer_factor(parts: tuple[int, ...], q: int) -> int:
     )
 
 
+def irreducible_polynomials(p: int, s: int) -> list[tuple[int, ...]]:
+    """Monic irreducibles f != x over F_p of degree <= s, by degree, each as
+    its coefficients from the constant term up.  A sieve strikes from the
+    monic polynomials of degree d each product of an irreducible of degree
+    k <= d/2 (x included) and a monic one of degree d - k; the number left
+    of each degree is checked against irreducible_orders."""
+    tally = irreducible_orders(p, s).items()
+    expected = Counter(d for (d, _), count in tally for _ in range(count))
+    found = []
+    for d in range(1, s + 1):
+        reducible = {
+            _times(f, (*g, 1), p) for f in found if 2 * len(f) <= d + 2
+            for g in itertools.product(range(p), repeat=d + 1 - len(f))
+        }
+        monic = ((*g, 1) for g in itertools.product(range(p), repeat=d))
+        found += [f for f in monic if f not in reducible]
+    if Counter(len(f) - 1 for f in found[1:]) != expected:  # found[0] is x
+        raise IntegralityError(f"sieved a wrong number of irreducibles over F_{p}")
+    return found[1:]
+
+
+def _times(f: tuple[int, ...], g: tuple[int, ...], p: int) -> tuple[int, ...]:
+    """f * g over F_p, for coefficients from the constant term up."""
+    product = [0] * (len(f) + len(g) - 1)
+    for i, a in enumerate(f):
+        for j, c in enumerate(g):
+            product[i + j] += a * c
+    return tuple(c % p for c in product)
+
+
+def _classes(p: int, s: int, irreducibles: list, record: Callable) -> Iterator[tuple]:
+    """The conjugacy classes of GL(s, p), each as (size, records): a class is
+    a partition lambda_f for each monic irreducible f != x, with
+    sum_f deg(f) * |lambda_f| = s (Green 1955; Macdonald, Symmetric
+    Functions and Hall Polynomials, ch. IV), and holds record(key, lambda_f)
+    for each nonempty lambda_f.  `irreducibles` lists (degree, key, count)
+    by degree, count irreducibles sharing a key.  A class's size is
+    |GL(s, p)| over prod_f c_{lambda_f}(p**d), each division checked exact.
+    """
+    order = general_linear_order(p, s)
+    table = []
+    for d, key, count in irreducibles:
+        options = [
+            (d * size, _centralizer_factor(parts, p**d), record(key, parts))
+            for size in range(1, s // d + 1)
+            for parts in integer_partitions(size)
+        ]
+        table += [(d, options)] * count
+
+    def extend(start, remaining, centralizer, records):
+        if not remaining:
+            yield exact_quotient(order, centralizer, f"|GL({s}, {p})|"), records
+            return
+        for i in range(start, len(table)):
+            d, options = table[i]
+            if d > remaining:
+                break
+            for dim, factor, kept in options:
+                if dim > remaining:
+                    break
+                yield from extend(i + 1, remaining - dim, centralizer * factor, records + (kept,))
+
+    return extend(0, s, 1, ())
+
+
 def gl_classes(
     p: int, s: int, n: int, budget: Budget = DEFAULT_BUDGET
 ) -> Iterator[tuple[int, tuple[int, ...]]]:
-    """The conjugacy classes of GL(s, p), each as (size, exponent profile).
+    """The classes of GL(s, p) (_classes), each as (size, exponent profile).
 
-    A class is a partition lambda_f for each monic irreducible f != x, with
-    sum_f deg(f) * |lambda_f| = s (Green 1955; Macdonald, Symmetric
-    Functions and Hall Polynomials, ch. IV).  Its size is |GL(s, p)| over
-    prod_f c_{lambda_f}(p**d); each division is checked to be exact.  For a
-    matrix A in the class, A**r fixes p**c_r vectors, where c_r sums
+    For a matrix A in a class, A**r fixes p**c_r vectors, where c_r sums
     d * sum_{k in lambda_f} min(k, p**v_p(r)) over the f whose root order e
     divides r: f**k contributes the kernel of x**r - 1, in which f has
     multiplicity p**v_p(r) (the cycle index of GL_n(F_q); Kung 1981).
@@ -88,49 +151,50 @@ def gl_classes(
     if n < 1:
         raise ValueError(f"tuple length must be >= 1, got {n}")
     budget.check("max_matrix_candidates", p**s)
-    order = general_linear_order(p, s)
     # p**v_p(r): the multiplicity in x**r - 1 of each f whose order divides r.
     depths = [math.gcd(r, p**r) for r in range(1, n + 1)]
-    irreducibles = []
-    for (d, e), count in sorted(irreducible_orders(p, s).items()):
-        options = [
-            (
-                d * size,
-                _centralizer_factor(parts, p**d),
-                tuple(
-                    d * sum(min(k, depth) for k in parts) if r % e == 0 else 0
-                    for r, depth in enumerate(depths, start=1)
-                ),
-            )
-            for size in range(1, s // d + 1)
-            for parts in integer_partitions(size)
-        ]
-        irreducibles += [(d, options)] * count
 
-    def extend(start, remaining, centralizer, profile):
-        if not remaining:
-            size, rest = divmod(order, centralizer)
-            if rest:
-                raise IntegralityError(
-                    f"centralizer order {centralizer} does not divide |GL({s}, {p})|"
-                )
-            yield size, profile
-            return
-        for i in range(start, len(irreducibles)):
-            d, options = irreducibles[i]
-            if d > remaining:
-                break
-            for dim, factor, vector in options:
-                if dim > remaining:
-                    break
-                yield from extend(
-                    i + 1,
-                    remaining - dim,
-                    centralizer * factor,
-                    tuple(map(operator.add, profile, vector)),
-                )
+    def profile(key, parts):
+        d, e = key
+        return tuple(
+            d * sum(min(k, depth) for k in parts) if r % e == 0 else 0
+            for r, depth in enumerate(depths, start=1)
+        )
 
-    return extend(0, s, 1, (0,) * n)
+    tally = sorted(irreducible_orders(p, s).items())
+    classes = _classes(p, s, [(d, (d, e), count) for (d, e), count in tally], profile)
+    return ((size, tuple(map(sum, zip(*profiles)))) for size, profiles in classes)
+
+
+def gl_class_representatives(
+    p: int, b: int, budget: Budget = DEFAULT_BUDGET
+) -> tuple[np.ndarray, tuple[int, ...]]:
+    """One matrix per conjugacy class of GL(b, p) (_classes), as a read-only
+    (k, b, b) int64 stack, and the k class sizes.  Each is its class's
+    rational canonical form: the block diagonal of the companion matrices of
+    f**k, k in lambda_f, for the f of irreducible_polynomials.  p**b bounds
+    the class count, and is checked against max_matrix_candidates first."""
+    budget.check("max_matrix_candidates", p**b)
+
+    def powers(f, parts):  # the coefficients of f**k, for k in parts
+        return [functools.reduce(lambda g, _: _times(g, f, p), range(k), (1,)) for k in parts]
+
+    irreducibles = [(len(f) - 1, f, 1) for f in irreducible_polynomials(p, b)]
+    classes = list(_classes(p, b, irreducibles, powers))
+    matrices = []
+    for _, records in classes:
+        matrix, at = [[0] * b for _ in range(b)], 0
+        for g in itertools.chain.from_iterable(records):
+            m = len(g) - 1  # the companion matrix of g, on rows and columns at..at + m
+            for i in range(m):
+                matrix[at + i][at + m - 1] = -g[i] % p
+                if i:
+                    matrix[at + i][at + i - 1] = 1
+            at += m
+        matrices.append(matrix)
+    stack = np.array(matrices, dtype=np.int64)
+    stack.flags.writeable = False
+    return stack, tuple(size for size, _ in classes)
 
 
 def gl_class_census(

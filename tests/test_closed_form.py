@@ -34,7 +34,13 @@ from escount.closed_form import (
     unit_census,
     unit_orders,
 )
-from escount.glclasses import gl_class_census, gl_classes, irreducible_orders
+from escount.glclasses import (
+    gl_class_census,
+    gl_class_representatives,
+    gl_classes,
+    irreducible_orders,
+    irreducible_polynomials,
+)
 from escount.numtheory import CycleType, cycle_types, delta_vector, euler_phi, factorize
 from escount.verify import abelian_groups_of_order
 
@@ -452,6 +458,25 @@ def test_irreducible_orders_count_the_irreducibles():
     assert irreducible_orders(2, 2) == {(1, 1): 1, (2, 3): 1}
 
 
+def test_irreducible_polynomials_are_gauss_counts_without_a_root():
+    """The sieve leaves (1/d) sum_{k | d} mu(d/k) p**k monic irreducibles of
+    each degree d, less x at d = 1, and none of degree 2 or 3 has a root."""
+    mobius = {1: 1, 2: -1, 3: -1, 4: 0, 5: -1, 6: 1}
+    for p, s in ((2, 6), (3, 5), (5, 3), (7, 2)):
+        polynomials = irreducible_polynomials(p, s)
+        assert polynomials == sorted(polynomials, key=len)
+        for d in range(1, s + 1):
+            monic = sum(mobius[d // k] * p**k for k in range(1, d + 1) if d % k == 0) // d
+            of_degree = [f for f in polynomials if len(f) == d + 1]
+            assert len(of_degree) == len(set(of_degree)) == monic - (d == 1), (p, d)
+            assert all(f[-1] == 1 and f[0] != 0 for f in of_degree)
+            if d in (2, 3):
+                assert all(
+                    sum(c * x**i for i, c in enumerate(f)) % p for f in of_degree for x in range(p)
+                ), (p, d)
+    assert irreducible_polynomials(2, 2) == [(1, 1), (1, 1, 1)]
+
+
 def test_gl_classes_check_their_sizes(monkeypatch):
     real = glclasses._centralizer_factor
     monkeypatch.setattr(glclasses, "_centralizer_factor", lambda parts, q: 1)
@@ -490,7 +515,9 @@ def test_n_elementary_abelian_does_not_use_the_classes(monkeypatch):
     def refuse(*args):
         raise AssertionError("the matrix scan used the class census")
 
-    monkeypatch.setattr(glclasses, "gl_classes", refuse)
+    for name in ("gl_classes", "gl_class_representatives", "irreducible_polynomials"):
+        monkeypatch.setattr(glclasses, name, refuse)
+    monkeypatch.setattr(abelian, "gl_class_representatives", refuse)
     for name in ("gl_class_census", "cheaper_census_sum"):
         monkeypatch.setattr(closed_form, name, refuse)
     assert n_elementary_abelian(2, 2, 2) == 31
@@ -532,7 +559,7 @@ def test_closed_count_splits_mixed_groups_by_sylow(monkeypatch):
         assert closed_count(parse_group(spec), 2) == expected, spec
 
 
-def test_closed_count_budget_applies_to_each_scanned_sylow_factor():
+def test_closed_count_budget_applies_to_each_scanned_sylow_factor(monkeypatch):
     # The 2-part C2xC4 of C2xC4xC3^2 has 2*2*2*4 = 32 candidates and its
     # 3-part is elementary, so 32 is enough, far below the whole group's.
     tight = Budget(max_endo_candidates=32)
@@ -549,17 +576,33 @@ def test_closed_count_budget_applies_to_each_scanned_sylow_factor():
         orbit_count_congruence(group, 2)
     assert excinfo.value.limit_name == "max_group_order"
     assert excinfo.value.required == 81
-    # At n >= 2 the limit prices the int8 table over the 2^26 candidates;
-    # at n = 1 it prices the listed automorphisms, and the class search
-    # prices the GL(5, 2) block space of C2^5xC4, 2^25 matrices.
+    # At n >= 2 the limit prices the int8 table over the 2^26 candidates.
     with pytest.raises(BudgetExceededError) as excinfo:
         closed_count(parse_group("C2^4xC4"), 2)
     assert excinfo.value.limit_name == "max_endo_candidates"
     assert excinfo.value.required == 2**26
+    # At n = 1 it prices the listed automorphisms with p^b for the class
+    # count: 2^5 * 2^11 for C2^5xC4, which lists 27 classes of 2^11 each.
+    c2_5xc4 = parse_group("C2^5xC4")
+    count = closed_count(c2_5xc4, 1)
+    assert count == 20 == closed_count(parse_group("C2^4xC4"), 1)
+    assert count == orbit_count_congruence(parse_group("C2^3xC4"), 1)
+    # The representatives price their class bound p^b = 2^5.
     with pytest.raises(BudgetExceededError) as excinfo:
-        closed_count(parse_group("C2^5xC4"), 1)
+        closed_count(c2_5xc4, 1, Budget(max_matrix_candidates=16))
     assert excinfo.value.limit_name == "max_matrix_candidates"
-    assert excinfo.value.required == 2**25
+    assert excinfo.value.required == 32
+    # C2^10xC4 is priced at 2^10 * 2^21 before any class is built; the class
+    # sizes of GL(10, 2) would not fit in int64.
+    def refuse(*args):
+        raise AssertionError("a class representative was built")
+
+    monkeypatch.setattr(abelian, "gl_class_representatives", refuse)
+    monkeypatch.setattr(glclasses, "gl_class_representatives", refuse)
+    with pytest.raises(BudgetExceededError) as excinfo:
+        closed_count(parse_group("C2^10xC4"), 1)
+    assert excinfo.value.limit_name == "max_endo_candidates"
+    assert excinfo.value.required == 2**31
 
 
 def test_closed_count_lists_one_block_per_class_of_c2_4xc4():
@@ -639,21 +682,46 @@ def test_kernel_census_lists_one_block_per_class(monkeypatch, n):
     assert per_block * 6 <= sum(eliminated) < order
 
 
-@pytest.mark.parametrize("p,b", [(2, 2), (2, 3), (2, 4), (3, 2), (3, 3), (5, 2)])
+@pytest.mark.parametrize("p,b", [(2, 2), (2, 3), (2, 4), (2, 5), (3, 2), (3, 3), (5, 2)])
 def test_general_linear_classes_match_the_class_formula(p, b):
-    """Label propagation over GL(b, p) finds the classes of gl_classes: the
-    same sizes, and each representative's powers fix as many vectors as
-    the closed form says."""
-    representatives, sizes = abelian.general_linear_classes(p, b)
+    """The rational canonical forms of gl_class_representatives carry the
+    classes of gl_classes: the same sizes, and each representative's powers
+    fix as many vectors as the closed form says."""
+    representatives, sizes = gl_class_representatives(p, b)
+    assert representatives.shape == (len(sizes), b, b)
+    assert not representatives.flags.writeable
     space, identity = parse_group(f"C{p}^{b}"), np.eye(b, dtype=np.int64)
     found = Counter()
-    for matrix, size in zip(representatives, sizes.tolist()):
+    for matrix, size in zip(representatives, sizes):
         powers = [np.linalg.matrix_power(matrix, r) % p for r in range(1, b + 2)]
         profile = abelian.kernel_exponents(space, np.stack(powers) - identity)
         found[size, tuple(profile.tolist())] += 1
     assert found == Counter(gl_classes(p, b, b + 1))
     if (p, b) == (2, 4):
         assert len(sizes) == 14  # GL(4, 2) is A8, with 14 classes
+    if (p, b) == (2, 5):
+        assert len(sizes) == 27
+
+
+@pytest.mark.parametrize("p,b", [(2, 2), (2, 3), (3, 2), (2, 4)])
+def test_gl_class_representatives_are_one_per_class_by_brute_force(p, b):
+    """Over every matrix P of GL(b, p), found without the class formula:
+    each representative R commutes with |GL| / size(R) of them, and no P
+    conjugates one representative into another."""
+    entries = np.array(list(itertools.product(range(p), repeat=b * b)), dtype=np.int64)
+    matrices = entries.reshape(-1, b, b)
+    group = matrices[np.round(np.linalg.det(matrices)).astype(np.int64) % p != 0]
+    assert len(group) == general_linear_order(p, b)
+    representatives, sizes = gl_class_representatives(p, b)
+    left = [group @ r % p for r in representatives]  # P R
+    right = [r @ group % p for r in representatives]  # R P
+    for i, size in enumerate(sizes):
+        for j in range(len(sizes)):
+            meets = (left[i] == right[j]).all(axis=(1, 2))  # P R_i P**-1 == R_j
+            if i == j:
+                assert meets.sum() * size == len(group)
+            else:
+                assert not meets.any(), (i, j)
 
 
 def test_closed_count_caches_no_automorphism():
