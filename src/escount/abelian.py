@@ -9,15 +9,15 @@ of unity.  Endomorphisms are integer matrices acting on exponent tuples,
 with entry ``(i, j)`` constrained to be a multiple of
 ``m_i / gcd(m_i, m_j)`` so that the map respects factor orders.
 
-The automorphisms of a group are listed from its GL(b, p) blocks
-(automorphism_chunks).  The element-image methods read them cached as one
-read-only (k, s, s) int64 stack, sized in advance by the closed-form order
-(automorphism_count) and wrapped in an Automorphisms sequence, whose
-EndoMatrix items are built, and checked, only when taken.  The closed
-form's census of a p-group (kernel_census) streams the chunks instead and
-caches no automorphism; beside larger factors, a block of b >= 2 factors
-C_p is listed at one rational canonical form per GL(b, p) conjugacy class
-(glclasses), while an elementary group is scanned as one block.
+The automorphisms of a group are listed as one sorted array of candidate
+indices from its GL(b, p) blocks, their number checked against the closed
+form (automorphism_index).  The element-image methods read them decoded
+and cached as one read-only (k, s, s) int64 stack in an Automorphisms
+sequence, whose EndoMatrix items are built, and checked, only when taken.
+The closed form's census of a p-group (kernel_census) decodes the index a
+slice at a time instead and caches no automorphism; beside larger factors,
+a block of b >= 2 factors C_p is listed at one rational canonical form per
+GL(b, p) conjugacy class (glclasses), an elementary group as one block.
 """
 from __future__ import annotations
 
@@ -290,47 +290,61 @@ def _decode(
 ) -> np.ndarray:
     """The (k, s, s) endomorphism matrices at the given candidate indices,
     in the layout of _candidate_cells."""
-    return index[:, None, None] // strides % counts * steps
+    matrices = index[:, None, None] // strides
+    matrices %= counts
+    matrices *= steps
+    return matrices
+
+
+def automorphism_index(group: AbelianGroup, blocks: np.ndarray | None = None) -> np.ndarray:
+    """The sorted int64 candidate indices of the group's automorphisms.
+
+    Cell (i, j) holds d * m_i / c for a digit d below c = gcd(m_i, m_j), so a
+    candidate's index in itertools.product order over the cells is the sum
+    of digit * stride.  By Hillar and Rhea, with the factors sorted, a
+    candidate is an automorphism iff the block of each run of b equal
+    factors C_{p^e} is in GL(b, p) mod p.  No candidate is rejected: the
+    indices are sorted sums of independent parts: per block, a GL(b, p)
+    matrix's digits plus p * [0, p**(e - 1)) in each of its cells; per other
+    cell, [0, c).  An elementary group is one block, its index |GL(s, p)| * 8
+    bytes.  Given `blocks`, a (k, b, b) stack of GL(b, p) matrices, only the
+    automorphisms whose block of C_p factors is one of them are listed,
+    every other block and cell in full.  The number listed must be
+    automorphism_count, or k * |Aut(G)| / |GL(b, p)| given `blocks`; any
+    other raises IntegralityError."""
+    counts, _, strides = _candidate_cells(group)
+    expected = automorphism_count(group)
+    parts, free = [], np.ones(counts.shape, dtype=bool)
+    for p, e in dict.fromkeys(group.factors):
+        start, b = group.factors.index((p, e)), group.factors.count((p, e))
+        block = strides[start : start + b, start : start + b].ravel().tolist()
+        free[start : start + b, start : start + b] = False
+        listed = general_linear_chunks(p, b)
+        if blocks is not None and e == 1:
+            per_block = exact_quotient(expected, general_linear_order(p, b), f"|Aut({group})|")
+            listed, expected = [blocks], len(blocks) * per_block
+        parts.append(np.concatenate([mats.reshape(-1, b * b) @ block for mats in listed]))
+        if e > 1:
+            parts += [p * np.arange(p ** (e - 1), dtype=np.int64) * stride for stride in block]
+    cells = zip(counts[free].tolist(), strides[free].tolist())
+    parts += [np.arange(c, dtype=np.int64) * stride for c, stride in cells if c > 1]
+    index = np.zeros(1, dtype=np.int64)
+    for part in parts:
+        index = (index[:, None] + part).ravel()
+    found = len(index)
+    if found != expected:
+        raise IntegralityError(f"listed {found} automorphisms of {group}, expected {expected}")
+    index.sort()
+    return index
 
 
 def automorphism_chunks(
     group: AbelianGroup, blocks: np.ndarray | None = None
 ) -> Iterator[np.ndarray]:
-    """All automorphisms of the group, as (k, s, s) stacks of at most
-    MATRIX_CHUNK matrices, in itertools.product order over the cells.
-
-    Cell (i, j) holds d * m_i / c for a digit d below c = gcd(m_i, m_j), so a
-    candidate's index in that order is the sum of digit * stride.  By Hillar
-    and Rhea, with the factors sorted, a candidate is an automorphism iff
-    the block of each run of b equal factors C_{p^e} is in GL(b, p) mod p.
-    No candidate is rejected: the indices are sorted sums of independent
-    parts: per block, a GL(b, p) matrix's digits plus p * [0, p**(e - 1))
-    in each of its cells; per other cell, [0, c).  An elementary group is
-    one block, passed on as it is scanned.  Given `blocks`, a (k, b, b)
-    stack of GL(b, p) matrices, only the automorphisms whose block of C_p
-    factors is one of them are listed, every other block and cell in full."""
-    if group.is_elementary():
-        yield from general_linear_chunks(group.factors[0][0], group.rank)
-        return
-    s = group.rank
-    layout = _candidate_cells(group)
-    counts, _, strides = layout
-    digits = [np.arange(c, dtype=np.int64) for c in counts.ravel().tolist()]
-    parts = []
-    for p, e in dict.fromkeys(group.factors):
-        start, b = group.factors.index((p, e)), group.factors.count((p, e))
-        block = strides[start : start + b, start : start + b]
-        listed = [blocks] if blocks is not None and e == 1 else general_linear_chunks(p, b)
-        gl = [mats.reshape(-1, b * b) @ block.ravel() for mats in listed]
-        parts.append(np.concatenate(gl))
-        for i in range(start, start + b):
-            for j in range(start, start + b):
-                digits[i * s + j] = p * np.arange(p ** (e - 1), dtype=np.int64)
-    parts += [d * stride for d, stride in zip(digits, strides.ravel().tolist()) if len(d) > 1]
-    index = np.zeros(1, dtype=np.int64)
-    for part in parts:
-        index = (index[:, None] + part).ravel()
-    index.sort()
+    """The automorphisms of automorphism_index, decoded as (k, s, s) stacks
+    of at most MATRIX_CHUNK matrices, in itertools.product order over the
+    cells."""
+    index, layout = automorphism_index(group, blocks), _candidate_cells(group)
     for lo in range(0, len(index), MATRIX_CHUNK):
         yield _decode(index[lo : lo + MATRIX_CHUNK], *layout)
 
@@ -373,14 +387,14 @@ def kernel_census(
     row per listed automorphism, and nothing cached.
 
     Every A**r is itself an automorphism, with an index in the candidate
-    space of automorphism_chunks.  So one pass over the listed chunks
-    stores c(B) for each automorphism B in an int8 table over that space,
-    -1 where none is listed, and checks the number listed.  A second pass
-    decodes the listed indices from the table and reads c(A**r) for
-    r = 2..n at the index of A**r (row i reduced mod m_i, cell digit
-    entry // (m_i / c)); a power that lands on -1 raises IntegralityError.
-    At n = 1 the first pass is the census and no table is built.  An
-    elementary group C_p^s is one GL(s, p) block, scanned in full;
+    space (automorphism_index).  So one pass over the MATRIX_CHUNK slices
+    of the index stores c(B) for each listed automorphism B in an int8
+    table over that space, -1 where none is listed.  A second pass over
+    the same slices reads c(A**r) for r = 2..n at the index of A**r (row i
+    reduced mod m_i, cell digit entry // (m_i / c)); a power that lands on
+    -1 raises IntegralityError.  At n = 1 the first pass is the census and
+    no table is built.  An elementary group C_p^s is one GL(s, p) block,
+    listed in full, its index |GL(s, p)| * 8 bytes;
     closed_form.matrix_scan_census is that census.
 
     A group with b >= 2 factors C_p beside larger ones lists fewer.  Its
@@ -401,53 +415,47 @@ def kernel_census(
     if n > 1:
         budget.check("max_endo_candidates", space)
     s, p = group.rank, group.factors[0][0]
-    expected = automorphism_count(group)
     b = group.factors.count((p, 1))
     blocks = weigh = None
     if 2 <= b < s:
-        per_block = exact_quotient(expected, general_linear_order(p, b), f"|Aut({group})|")
         if n == 1:
-            budget.check("max_endo_candidates", p**b * per_block)
+            listed = p**b * automorphism_count(group) // general_linear_order(p, b)
+            budget.check("max_endo_candidates", listed)
         blocks, weigh = _class_blocks(p, b, n, budget)
-        expected = len(blocks) * per_block
     elif n == 1:
-        budget.check("max_endo_candidates", expected)
+        budget.check("max_endo_candidates", automorphism_count(group))
+    index = automorphism_index(group, blocks)
     identity = np.eye(s, dtype=np.int64)
     layout = _candidate_cells(group)
+    table = np.full(space, -1, dtype=np.int8) if n > 1 else None
+    census: Counter = Counter()
+    for lo in range(0, len(index), MATRIX_CHUNK):
+        part = index[lo : lo + MATRIX_CHUNK]
+        chunk = _decode(part, *layout)
+        exponents = kernel_exponents(group, chunk - identity).astype(np.int8)
+        if n > 1:
+            table[part] = exponents
+        else:
+            tally_rows(census, exponents[:, None], None if weigh is None else weigh(chunk))
+    if n == 1:
+        return dict(census)
     _, steps, strides = layout
     # In a p-group, m_i divides the stride of every cell (i, j < s - 1) and
     # the step of (i, s - 1) is 1, so digit * stride = entry * weight.
     weights = (strides // steps).ravel()
-    table = np.full(space, -1, dtype=np.int8) if n > 1 else None
-    census: Counter = Counter()
-    found = 0
-    chunks = automorphism_chunks(group) if blocks is None else automorphism_chunks(group, blocks)
-    for chunk in chunks:
-        exponents = kernel_exponents(group, chunk - identity).astype(np.int8)
-        found += len(chunk)
-        if n > 1:
-            table[chunk.reshape(-1, s * s) @ weights] = exponents
-        else:
-            tally_rows(census, exponents[:, None], None if weigh is None else weigh(chunk))
-    if found != expected:
-        raise IntegralityError(f"listed {found} automorphisms of {group}, expected {expected}")
-    if n == 1:
-        return dict(census)
     mods = np.array(group.moduli, dtype=np.int64)[:, None]
     # Row i modulo m_i; for p = 2 a mask is faster.
     reduce, by = (np.bitwise_and, mods - 1) if p == 2 else (np.remainder, mods)
-    # Candidates per span: about MATRIX_CHUNK of them are listed.
-    span = MATRIX_CHUNK * max(1, space // found)
-    for lo in range(0, space, span):
-        index = lo + np.flatnonzero(table[lo : lo + span] >= 0)
-        matrices = _decode(index, *layout)
+    for lo in range(0, len(index), MATRIX_CHUNK):
+        part = index[lo : lo + MATRIX_CHUNK]
+        matrices = _decode(part, *layout)
         counts = None
         if weigh is not None:
             counts = weigh(matrices)
             tallied = counts > 0
-            index, matrices, counts = index[tallied], matrices[tallied], counts[tallied]
-        profiles = np.empty((len(index), n), dtype=np.int8)
-        profiles[:, 0] = table[index]
+            part, matrices, counts = part[tallied], matrices[tallied], counts[tallied]
+        profiles = np.empty((len(part), n), dtype=np.int8)
+        profiles[:, 0] = table[part]
         power = matrices
         for r in range(1, n):
             power = reduce(power @ matrices, by)
@@ -506,8 +514,7 @@ class Automorphisms(abc.Sequence):
 def enumerate_automorphisms(
     group: AbelianGroup, budget: Budget = DEFAULT_BUDGET
 ) -> Automorphisms:
-    """All automorphisms of the group, in the order automorphism_chunks
-    finds them.
+    """All automorphisms of the group, in the order of automorphism_index.
 
     Only max_endo_candidates, on the candidate space, is checked, on
     every call; the paths that map elements check max_group_order
@@ -520,18 +527,9 @@ def enumerate_automorphisms(
 
 @lru_cache(maxsize=None)
 def _automorphisms(group: AbelianGroup) -> Automorphisms:
-    """The listed automorphisms, copied chunk by chunk into a stack
-    preallocated at automorphism_count rows; a listing that finds any other
-    number raises IntegralityError."""
-    k = automorphism_count(group)
-    matrices = np.empty((k, group.rank, group.rank), dtype=np.int64)
-    found = 0
-    for chunk in automorphism_chunks(group):
-        if found + len(chunk) <= k:
-            matrices[found : found + len(chunk)] = chunk
-        found += len(chunk)
-    if found != k:
-        raise IntegralityError(f"listed {found} automorphisms of {group}, expected {k}")
+    """The automorphisms of automorphism_index, decoded into one stack of
+    k * s**2 * 8 bytes beside the index's k * 8."""
+    matrices = _decode(automorphism_index(group), *_candidate_cells(group))
     matrices.flags.writeable = False
     return Automorphisms(group, matrices)
 

@@ -72,8 +72,8 @@ class Budget:
                            scanned when listing an invertible matrix group
                            (checked before max_endo_candidates by the
                            elementary witness, which both limits price),
-                           and largest bound p^s on the conjugacy classes
-                           of GL(s, p) listed, for the class census or as
+                           largest bound p^s on the GL(s, p) classes of the
+                           class census, and p^b * b^2 on the entries of the
                            representatives (gl_class_representatives).
     """
 

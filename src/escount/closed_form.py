@@ -7,7 +7,7 @@ exponents of their powers' fixed-point counts, listed in the cheapest way
 its kind allows: a cyclic factor from its unit-order shapes (k, d) and
 numtheory.shape_orders, the map delta_vector inverts, never listing units;
 an elementary factor C_p^s from the conjugacy classes of GL(s, p)
-(glclasses), never listing matrices; any other factor by streaming its
+(glclasses), never listing matrices; any other factor by listing its
 automorphisms, so max_endo_candidates applies to that factor alone, with
 one Smith form per automorphism (abelian.kernel_census), each power's
 fixed count p**c read from a table of those; a factor with b >= 2 factors
@@ -369,7 +369,8 @@ def matrix_scan_census(
 
     A matrix power A**r fixes p**c_r vectors, c_r = corank(A**r - I).  The
     census is abelian.kernel_census on C_p^s, one GL(s, p) block not split
-    by class, once the p**(s*s) candidates pass max_matrix_candidates;
+    by class, once the p**(s*s) candidates pass max_matrix_candidates, which
+    so caps its |GL(s, p)| * 8-byte index (8 MiB at the default budget);
     kernel_census prices them, or |GL(s, p)| at n = 1, by max_endo_candidates.
     """
     if s < 1:
@@ -404,16 +405,16 @@ def _sylow_census(
     """Aut of a p-group tallied by exponent profile, by the lister for its kind.
 
     Cyclic: the unit census.  Elementary: the GL(s, p) class census.  Any
-    other p-group: abelian.kernel_census streams its automorphisms, takes
+    other p-group: abelian.kernel_census slices its automorphism index, takes
     one Smith form per listed automorphism and reads each power's from a
     table over the candidate space; no element is ever mapped, and no
     automorphism is cached.  With b >= 2 factors C_p beside larger ones it
     lists only the automorphisms over one C_p**b block per GL(b, p) class,
     weighted by the class size, and over that block's powers.
 
-    max_endo_candidates prices, at n = 1, the automorphisms listed, and at
-    n >= 2 the candidate space, over which the int8 table is kept
-    (kernel_census); max_matrix_candidates prices p**b, the class bound.
+    max_endo_candidates prices the automorphisms listed at n = 1 and the
+    candidate space of the int8 table at n >= 2 (kernel_census), and
+    max_matrix_candidates the p**b * b**2 entries of <= p**b representatives.
     """
     p, e = sylow.factors[0]
     if sylow.is_cyclic():

@@ -172,9 +172,9 @@ def gl_class_representatives(
     """One matrix per conjugacy class of GL(b, p) (_classes), as a read-only
     (k, b, b) int64 stack, and the k class sizes.  Each is its class's
     rational canonical form: the block diagonal of the companion matrices of
-    f**k, k in lambda_f, for the f of irreducible_polynomials.  p**b bounds
-    the class count, and is checked against max_matrix_candidates first."""
-    budget.check("max_matrix_candidates", p**b)
+    f**k, k in lambda_f, for the f of irreducible_polynomials.  Their at most
+    p**b * b**2 entries are checked against max_matrix_candidates first."""
+    budget.check("max_matrix_candidates", p**b * b * b)
 
     def powers(f, parts):  # the coefficients of f**k, for k in parts
         return [functools.reduce(lambda g, _: _times(g, f, p), range(k), (1,)) for k in parts]

@@ -17,6 +17,7 @@ from escount.abelian import (
     GroupParseError,
     automorphism_chunks,
     automorphism_count,
+    automorphism_index,
     canonical_spec,
     character_images,
     character_permutation,
@@ -306,18 +307,25 @@ def test_automorphism_scan_matches_hillar_rhea_order():
     for group in small_groups(64):
         if endo_candidate_count(group) > DEFAULT_BUDGET.max_endo_candidates:
             continue
+        # A strictly increasing index decodes to the itertools.product
+        # order over the cells: with the count, the image-sort listing.
+        index = automorphism_index(group)
+        assert (np.diff(index) > 0).all(), group
+        layout = abelian._candidate_cells(group)
         found = 0
         for stack in automorphism_chunks(group):
+            decoded = abelian._decode(index[found : found + len(stack)], *layout)
+            assert np.array_equal(stack, decoded), group
             images = np.sort(element_images(group, stack), axis=1)
             assert (images == np.arange(group.order)).all(), group
             found += len(stack)
-        assert found == automorphism_count(group), group
+        assert found == len(index) == automorphism_count(group), group
         checked += 1
     assert checked > 100
 
 
 @pytest.mark.parametrize("chunk", [1, 7])
-@pytest.mark.parametrize("spec", ["C2xC4", "C3xC9", "C2^2xC4"])
+@pytest.mark.parametrize("spec", ["C2xC4", "C3xC9", "C2^2xC4", "C2^3", "C3^2"])
 def test_automorphism_scan_does_not_depend_on_batch_size(spec, chunk, monkeypatch):
     group = parse_group(spec)
     monkeypatch.setattr(abelian, "MATRIX_CHUNK", chunk)
@@ -331,19 +339,19 @@ def test_automorphism_scan_does_not_depend_on_batch_size(spec, chunk, monkeypatc
 
 @pytest.mark.parametrize("change", ["drop", "repeat"])
 def test_automorphism_stack_checks_the_scan_count(change, monkeypatch):
-    """The stack is preallocated at automorphism_count rows; a scan that
-    finds one row fewer or one more is refused, not cached."""
+    """The listing is checked against automorphism_count; a GL(b, p) scan
+    that finds one matrix fewer or one more is refused, not cached."""
     group = parse_group("C2xC4")
-    scan = abelian.automorphism_chunks
+    scan = abelian.general_linear_chunks
 
-    def altered(group):
-        chunks = list(scan(group))
+    def altered(p, b):
+        chunks = list(scan(p, b))
         last = chunks[-1]
         chunks[-1] = last[:-1] if change == "drop" else np.concatenate([last, last[-1:]])
         return iter(chunks)
 
     enumerate_automorphisms.cache_clear()
-    monkeypatch.setattr(abelian, "automorphism_chunks", altered)
+    monkeypatch.setattr(abelian, "general_linear_chunks", altered)
     with pytest.raises(IntegralityError, match="expected 8"):
         enumerate_automorphisms(group)
     assert enumerate_automorphisms.cache_info().currsize == 0

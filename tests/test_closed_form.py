@@ -505,6 +505,7 @@ def test_closed_count_elementary_lists_no_matrix(monkeypatch):
     def refuse(*args):
         raise AssertionError("closed_count scanned matrices")
 
+    monkeypatch.setattr(abelian, "automorphism_index", refuse)
     monkeypatch.setattr(abelian, "automorphism_chunks", refuse)
     monkeypatch.setattr(closed_form, "automorphism_chunks", refuse)
     for spec, expected in ELEMENTARY_N2.items():
@@ -553,6 +554,7 @@ def test_closed_count_splits_mixed_groups_by_sylow(monkeypatch):
     def refuse(*args):
         raise AssertionError("closed_count scanned the whole group")
 
+    monkeypatch.setattr(abelian, "automorphism_index", refuse)
     monkeypatch.setattr(abelian, "automorphism_chunks", refuse)
     monkeypatch.setattr(closed_form, "automorphism_chunks", refuse)
     for spec, expected in MIXED_N2.items():
@@ -587,11 +589,12 @@ def test_closed_count_budget_applies_to_each_scanned_sylow_factor(monkeypatch):
     count = closed_count(c2_5xc4, 1)
     assert count == 20 == closed_count(parse_group("C2^4xC4"), 1)
     assert count == orbit_count_congruence(parse_group("C2^3xC4"), 1)
-    # The representatives price their class bound p^b = 2^5.
+    # The representatives price the p^b * b^2 = 2^5 * 25 entries of at most
+    # p^b classes.
     with pytest.raises(BudgetExceededError) as excinfo:
         closed_count(c2_5xc4, 1, Budget(max_matrix_candidates=16))
     assert excinfo.value.limit_name == "max_matrix_candidates"
-    assert excinfo.value.required == 32
+    assert excinfo.value.required == 800
     # C2^10xC4 is priced at 2^10 * 2^21 before any class is built; the class
     # sizes of GL(10, 2) would not fit in int64.
     def refuse(*args):
@@ -703,6 +706,17 @@ def test_general_linear_classes_match_the_class_formula(p, b):
         assert len(sizes) == 27
 
 
+@pytest.mark.parametrize("p,b,required", [(2, 13, 1_384_448), (2, 14, 3_211_264)])
+def test_gl_class_representatives_price_their_entries(p, b, required):
+    """p**b * b**2, the entries of at most p**b representatives, is checked
+    against max_matrix_candidates before any class is built; unpriced,
+    GL(14, 2) would build 16,284 classes."""
+    with pytest.raises(BudgetExceededError) as excinfo:
+        gl_class_representatives(p, b)
+    assert excinfo.value.limit_name == "max_matrix_candidates"
+    assert excinfo.value.required == required == p**b * b * b
+
+
 @pytest.mark.parametrize("p,b", [(2, 2), (2, 3), (3, 2), (2, 4)])
 def test_gl_class_representatives_are_one_per_class_by_brute_force(p, b):
     """Over every matrix P of GL(b, p), found without the class formula:
@@ -732,18 +746,18 @@ def test_closed_count_caches_no_automorphism():
 
 
 def test_kernel_census_refuses_a_power_missing_from_the_table(monkeypatch):
-    """With the identity left out of the listing, and the expected number
-    lowered to match, the square of an involution lands on no entry."""
+    """With the identity left out of the listed index, the square of an
+    involution lands on no entry."""
     group = parse_group("C2xC4xC8")
-    scan, order = abelian.automorphism_chunks, abelian.automorphism_count(group)
+    listing, order = abelian.automorphism_index, abelian.automorphism_count(group)
     identity = np.eye(group.rank, dtype=np.int64)
 
-    def without_identity(space):
-        for chunk in scan(space):
-            yield chunk[~(chunk == identity).all(axis=(1, 2))]
+    def without_identity(space, blocks=None):
+        index = listing(space, blocks)
+        matrices = abelian._decode(index, *abelian._candidate_cells(space))
+        return index[~(matrices == identity).all(axis=(1, 2))]
 
-    monkeypatch.setattr(abelian, "automorphism_chunks", without_identity)
-    monkeypatch.setattr(abelian, "automorphism_count", lambda space: order - 1)
+    monkeypatch.setattr(abelian, "automorphism_index", without_identity)
     assert sum(abelian.kernel_census(group, 1).values()) == order - 1
     with pytest.raises(IntegralityError, match="not listed"):
         abelian.kernel_census(group, 2)
@@ -770,16 +784,16 @@ def test_closed_count_maps_no_element_of_a_scanned_factor(monkeypatch):
 
 @pytest.mark.parametrize("change", ["drop", "repeat"])
 def test_closed_count_refuses_an_altered_automorphism_scan(monkeypatch, change):
-    scan = abelian.automorphism_chunks
+    scan = abelian.general_linear_chunks
 
-    def altered(group):
-        chunks = list(scan(group))
+    def altered(p, b):
+        chunks = list(scan(p, b))
         last = chunks[-1]
         chunks[-1] = last[:-1] if change == "drop" else np.concatenate([last, last[-1:]])
         return iter(chunks)
 
     abelian.enumerate_automorphisms.cache_clear()
-    monkeypatch.setattr(abelian, "automorphism_chunks", altered)
+    monkeypatch.setattr(abelian, "general_linear_chunks", altered)
     with pytest.raises(IntegralityError):
         closed_count(parse_group("C2xC4xC8"), 2)
     assert abelian.enumerate_automorphisms.cache_info().currsize == 0
