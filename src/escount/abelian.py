@@ -265,6 +265,9 @@ def general_linear_chunks(p: int, b: int) -> Iterator[np.ndarray]:
     """The matrices of GL(b, p), entries in [0, p), as (k, b, b) stacks in
     itertools.product order over the entries: kernel_exponents keeps the
     invertible ones among the p**(b*b) candidates, MATRIX_CHUNK at a time."""
+    if b == 1:  # the units 1..p - 1, with no kernel to take
+        yield np.arange(1, p, dtype=np.int64).reshape(-1, 1, 1)
+        return
     space = AbelianGroup(((p, 1),) * b)
     total = p ** (b * b)
     place = p ** np.arange(b * b - 1, -1, -1, dtype=np.int64)
@@ -292,12 +295,19 @@ def _decode(
     in the layout of _candidate_cells."""
     matrices = index[:, None, None] // strides
     matrices %= counts
-    matrices *= steps
-    return matrices
+    return np.multiply(matrices, steps, out=matrices)
 
 
-def automorphism_index(group: AbelianGroup, blocks: np.ndarray | None = None) -> np.ndarray:
-    """The sorted int64 candidate indices of the group's automorphisms.
+def _listed_per_block(group: AbelianGroup, p: int, b: int) -> int:
+    """|Aut(G)| / |GL(b, p)|, the automorphisms over each block of b factors C_p."""
+    return exact_quotient(automorphism_count(group), general_linear_order(p, b), f"|Aut({group})|")
+
+
+def automorphism_index(
+    group: AbelianGroup, blocks: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The sorted int64 candidate indices of the group's automorphisms,
+    then the three _candidate_cells arrays: the arguments of _decode.
 
     Cell (i, j) holds d * m_i / c for a digit d below c = gcd(m_i, m_j), so a
     candidate's index in itertools.product order over the cells is the sum
@@ -310,9 +320,9 @@ def automorphism_index(group: AbelianGroup, blocks: np.ndarray | None = None) ->
     bytes.  Given `blocks`, a (k, b, b) stack of GL(b, p) matrices, only the
     automorphisms whose block of C_p factors is one of them are listed,
     every other block and cell in full.  The number listed must be
-    automorphism_count, or k * |Aut(G)| / |GL(b, p)| given `blocks`; any
-    other raises IntegralityError."""
-    counts, _, strides = _candidate_cells(group)
+    automorphism_count, or k * _listed_per_block given `blocks`; any other
+    raises IntegralityError."""
+    counts, steps, strides = _candidate_cells(group)
     expected = automorphism_count(group)
     parts, free = [], np.ones(counts.shape, dtype=bool)
     for p, e in dict.fromkeys(group.factors):
@@ -321,8 +331,7 @@ def automorphism_index(group: AbelianGroup, blocks: np.ndarray | None = None) ->
         free[start : start + b, start : start + b] = False
         listed = general_linear_chunks(p, b)
         if blocks is not None and e == 1:
-            per_block = exact_quotient(expected, general_linear_order(p, b), f"|Aut({group})|")
-            listed, expected = [blocks], len(blocks) * per_block
+            listed, expected = [blocks], len(blocks) * _listed_per_block(group, p, b)
         parts.append(np.concatenate([mats.reshape(-1, b * b) @ block for mats in listed]))
         if e > 1:
             parts += [p * np.arange(p ** (e - 1), dtype=np.int64) * stride for stride in block]
@@ -331,20 +340,16 @@ def automorphism_index(group: AbelianGroup, blocks: np.ndarray | None = None) ->
     index = np.zeros(1, dtype=np.int64)
     for part in parts:
         index = (index[:, None] + part).ravel()
-    found = len(index)
-    if found != expected:
+    if (found := len(index)) != expected:
         raise IntegralityError(f"listed {found} automorphisms of {group}, expected {expected}")
     index.sort()
-    return index
+    return index, counts, steps, strides
 
 
-def automorphism_chunks(
-    group: AbelianGroup, blocks: np.ndarray | None = None
-) -> Iterator[np.ndarray]:
-    """The automorphisms of automorphism_index, decoded as (k, s, s) stacks
-    of at most MATRIX_CHUNK matrices, in itertools.product order over the
-    cells."""
-    index, layout = automorphism_index(group, blocks), _candidate_cells(group)
+def automorphism_chunks(group: AbelianGroup) -> Iterator[np.ndarray]:
+    """The automorphisms of automorphism_index, in its order, decoded as
+    (k, s, s) stacks of at most MATRIX_CHUNK matrices."""
+    index, *layout = automorphism_index(group)
     for lo in range(0, len(index), MATRIX_CHUNK):
         yield _decode(index[lo : lo + MATRIX_CHUNK], *layout)
 
@@ -419,14 +424,12 @@ def kernel_census(
     blocks = weigh = None
     if 2 <= b < s:
         if n == 1:
-            listed = p**b * automorphism_count(group) // general_linear_order(p, b)
-            budget.check("max_endo_candidates", listed)
+            budget.check("max_endo_candidates", p**b * _listed_per_block(group, p, b))
         blocks, weigh = _class_blocks(p, b, n, budget)
     elif n == 1:
         budget.check("max_endo_candidates", automorphism_count(group))
-    index = automorphism_index(group, blocks)
+    index, *layout = automorphism_index(group, blocks)
     identity = np.eye(s, dtype=np.int64)
-    layout = _candidate_cells(group)
     table = np.full(space, -1, dtype=np.int8) if n > 1 else None
     census: Counter = Counter()
     for lo in range(0, len(index), MATRIX_CHUNK):
@@ -529,7 +532,7 @@ def enumerate_automorphisms(
 def _automorphisms(group: AbelianGroup) -> Automorphisms:
     """The automorphisms of automorphism_index, decoded into one stack of
     k * s**2 * 8 bytes beside the index's k * 8."""
-    matrices = _decode(automorphism_index(group), *_candidate_cells(group))
+    matrices = _decode(*automorphism_index(group))
     matrices.flags.writeable = False
     return Automorphisms(group, matrices)
 

@@ -352,11 +352,8 @@ def enumerate_invertible_matrices(
     if s < 1:
         raise ValueError(f"dimension must be >= 1, got {s}")
     budget.check("max_matrix_candidates", p ** (s * s))
-    matrices = [
-        tuple(tuple(row) for row in mat)
-        for chunk in automorphism_chunks(AbelianGroup(((p, 1),) * s))
-        for mat in chunk.tolist()
-    ]
+    chunks = automorphism_chunks(AbelianGroup(((p, 1),) * s))
+    matrices = [tuple(map(tuple, mat)) for chunk in chunks for mat in chunk.tolist()]
     if len(matrices) != general_linear_order(p, s):
         raise IntegralityError(f"listed {len(matrices)} matrices of GL({s}, {p})")
     return matrices

@@ -309,13 +309,10 @@ def test_automorphism_scan_matches_hillar_rhea_order():
             continue
         # A strictly increasing index decodes to the itertools.product
         # order over the cells: with the count, the image-sort listing.
-        index = automorphism_index(group)
+        index, *_ = automorphism_index(group)
         assert (np.diff(index) > 0).all(), group
-        layout = abelian._candidate_cells(group)
         found = 0
         for stack in automorphism_chunks(group):
-            decoded = abelian._decode(index[found : found + len(stack)], *layout)
-            assert np.array_equal(stack, decoded), group
             images = np.sort(element_images(group, stack), axis=1)
             assert (images == np.arange(group.order)).all(), group
             found += len(stack)

@@ -753,9 +753,9 @@ def test_kernel_census_refuses_a_power_missing_from_the_table(monkeypatch):
     identity = np.eye(group.rank, dtype=np.int64)
 
     def without_identity(space, blocks=None):
-        index = listing(space, blocks)
-        matrices = abelian._decode(index, *abelian._candidate_cells(space))
-        return index[~(matrices == identity).all(axis=(1, 2))]
+        index, *layout = listing(space, blocks)
+        matrices = abelian._decode(index, *layout)
+        return index[~(matrices == identity).all(axis=(1, 2))], *layout
 
     monkeypatch.setattr(abelian, "automorphism_index", without_identity)
     assert sum(abelian.kernel_census(group, 1).values()) == order - 1
