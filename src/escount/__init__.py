@@ -34,30 +34,10 @@ from .verify import abelian_groups_of_order, check_reference_values, cross_check
 __version__ = "0.1.0"
 
 __all__ = [
-    "AbelianGroup",
-    "Budget",
-    "BudgetExceededError",
-    "DEFAULT_BUDGET",
-    "EndoMatrix",
-    "GroupParseError",
-    "IntegralityError",
-    "abelian_groups_of_order",
-    "act",
-    "check_reference_values",
-    "closed_count",
-    "cross_check",
-    "cycle_types",
-    "enumerate_automorphisms",
-    "euler_phi",
-    "fixed_point_report",
-    "fixed_points_naive",
-    "general_linear_order",
-    "n_cyclic",
-    "n_elementary_abelian",
-    "orbit_count_congruence",
-    "orbit_count_naive",
-    "orbit_enumerate",
-    "orbit_sizes",
-    "parse_group",
-    "sweep",
+    "AbelianGroup", "Budget", "BudgetExceededError", "DEFAULT_BUDGET", "EndoMatrix",
+    "GroupParseError", "IntegralityError", "abelian_groups_of_order", "act",
+    "check_reference_values", "closed_count", "cross_check", "cycle_types",
+    "enumerate_automorphisms", "euler_phi", "fixed_point_report", "fixed_points_naive",
+    "general_linear_order", "n_cyclic", "n_elementary_abelian", "orbit_count_congruence",
+    "orbit_count_naive", "orbit_enumerate", "orbit_sizes", "parse_group", "sweep",
 ]

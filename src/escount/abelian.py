@@ -10,14 +10,10 @@ with entry ``(i, j)`` constrained to be a multiple of
 ``m_i / gcd(m_i, m_j)`` so that the map respects factor orders.
 
 The automorphisms of a group are listed as one sorted array of candidate
-indices from its GL(b, p) blocks, their number checked against the closed
-form (automorphism_index).  The element-image methods read them decoded
-and cached as one read-only (k, s, s) int64 stack in an Automorphisms
-sequence, whose EndoMatrix items are built, and checked, only when taken.
-The closed form's census of a p-group (kernel_census) decodes the index a
-slice at a time instead and caches no automorphism; beside larger factors,
-a block of b >= 2 factors C_p is listed at one rational canonical form per
-GL(b, p) conjugacy class (glclasses), an elementary group as one block.
+indices from its GL(b, p) blocks (automorphism_index).  The element-image
+methods read them as one cached read-only (k, s, s) stack (Automorphisms);
+the closed form's census of a p-group (kernel_census) decodes the index a
+slice at a time and caches no automorphism.
 """
 from __future__ import annotations
 

@@ -54,14 +54,10 @@ class Budget:
                            orbit listing), not for their scan; closed_count
                            maps no element, so it never checks this limit.
     max_endo_candidates:   largest candidate space prod gcd(m_i, m_j) of a
-                           group whose automorphisms are listed; the lister
-                           walks only its GL(b, p) blocks, but refusals stay
-                           priced by the whole space.  closed_count applies
-                           it to each Sylow factor it lists, not to the group,
-                           and the elementary witness to C_p^s: at n = 1 to
-                           the automorphisms listed, and at n >= 2 to the
-                           candidate space, which bounds the bytes of the
-                           int8 exponent table kept over it.
+                           group whose automorphisms are listed.  closed_count
+                           applies it to each Sylow factor it lists, and the
+                           elementary witness to C_p^s, as kernel_census
+                           prices them (depending on n).
     max_state_space:       largest number of tuples |G|^n of one half in the
                            naive scan, and of configurations |G|^(2n) for the
                            one-pair naive count and for orbit listing.

@@ -15,14 +15,10 @@ them with _image_index.
 The naive scan (fixed_point_report) uses that a pair (phi, sigma) moves
 elements and characters apart: it fixes a state exactly when it fixes the
 state's element n-tuple and its character n-tuple, so it fixes E * C states.
-Each half is scanned over its m**n tuples in the blocks of _blocks, both
-halves in one pass: a batch's element images and character images are
-stacked as the rows of one image map.  Per batch of automorphisms and block
-it builds the n x n match masks M[j, t] = [phi(x_j) = x_t] of every row,
-packed into 64-bit words; for a whole batch of permutations the fixed tuples
-of (phi, sigma) are the set bits of AND_j M[j, sigma(j)]; the permutations
-come as int8 tables (permutation_chunks), and all of S_n, when it fits one
-chunk, as one cached table labelled once per n (_permutation_table).  Every
+Each half is scanned over its m**n tuples in the blocks of _blocks.  Per
+image row and block it builds the n x n match masks M[j, t] = [phi(x_j) =
+x_t], packed into 64-bit words; the fixed tuples of (phi, sigma) are the set
+bits of AND_j M[j, sigma(j)], for a batch of permutations at once.  Every
 temporary stays within about PROFILE_CHUNK bytes (int64 image cells for the
 image arrays), whatever the budget.
 """
@@ -34,7 +30,7 @@ import operator
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -54,6 +50,7 @@ from .abelian import (
     tally_rows,
 )
 from .budget import Budget, DEFAULT_BUDGET, IntegralityError, exact_quotient
+from .closed_form import census_count
 from .numtheory import CycleType, cycle_index_sum, partition_count
 
 Permutation = tuple[int, ...]
@@ -473,25 +470,27 @@ def fixed_count_census(
     return dict(census)
 
 
-def orbit_count_congruence(
+def congruence_counts(
     group: AbelianGroup, n: int, budget: Budget = DEFAULT_BUDGET
-) -> int:
-    """Number of orbits, averaging the cycle index over automorphisms.
+) -> Callable[[int], int]:
+    """Number of orbits at every tuple length k <= n, averaging the cycle
+    index over automorphisms.
 
     A pair (phi, sigma) fixes, per cycle of sigma of length r, the elements
-    and the characters fixed by phi**r, and there are as many fixed
-    characters as fixed elements (|G / im(phi**r - 1)| = |ker(phi**r - 1)|).
-    So only the fixed-element profile of each automorphism matters; the
-    automorphisms of the whole group are tallied by profile
-    (fixed_count_census) and the census goes through the cycle-index
-    kernel.  The total over the acting group divides exactly.
+    and the characters fixed by phi**r, as many of each (|G / im(phi**r - 1)|
+    = |ker(phi**r - 1)|).  So the automorphisms of the whole group are
+    tallied by fixed-element profile up to n (fixed_count_census), cut to k
+    by census_count and, as fixed counts, summed by cycle_index_sum.
     """
-    census = fixed_count_census(group, n, budget)
-    return exact_quotient(
-        cycle_index_sum(census, n),
-        sum(census.values()) * math.factorial(n),
-        f"fixed-point total for {group}, n={n}",
+    census = [(0, fixed_count_census(group, n, budget))]
+    return lambda k: census_count(
+        census, k, str(group), lambda cut, k: cycle_index_sum(cut[0][1], k)
     )
+
+
+def orbit_count_congruence(group: AbelianGroup, n: int, budget: Budget = DEFAULT_BUDGET) -> int:
+    """Number of orbits at n alone, by the congruence average (congruence_counts)."""
+    return congruence_counts(group, n, budget)(n)
 
 
 def _generator_images(

@@ -6,9 +6,7 @@ counting methods over a range of groups, or tabulate counts for many groups.
     escount table (--groups SPECS | --all-orders K) --n N [--format F]
 
 COMMANDS is the one table of each command's flags: parse_args reads argv
-from it and the help prints it.  A flag takes its value as `--flag value` or
-`--flag=value`; a repeated flag keeps its last value; names are matched in
-full, never by prefix.  -h/--help prints the usage and exits 0.
+from it and the help prints it.
 
 Exit codes: 0 success; 1 verification found a disagreement or reference
 mismatch; 2 malformed input (group spec, flags, or ESC_BUDGET); 3 workload
@@ -205,10 +203,11 @@ def _value(command: str, flag: Flag, raw: str) -> object:
 
 def parse_args(argv: list[str]) -> SimpleNamespace:
     """The command of `argv` and every flag of its COMMANDS row, given or
-    defaulted.  Flags come as `--name value` or `--name=value`, the last of
-    a repeated flag wins, and a value may not start with '-' unless it is a
-    negative number.  -h/--help prints the help and exits 0; malformed
-    input prints the usage and an error line on stderr and exits 2."""
+    defaulted.  Flags come as `--name value` or `--name=value`, names
+    matched in full, never by prefix; the last of a repeated flag wins, and
+    a value may not start with '-' unless it is a negative number.
+    -h/--help prints the help and exits 0; malformed input prints the usage
+    and an error line on stderr and exits 2."""
     command = argv[0] if argv else None
     if command in _HELP:
         _help(None)
@@ -277,7 +276,8 @@ def cmd_count(args, budget: Budget) -> int:
 
 def cmd_verify(args, budget: Budget) -> int:
     report = sweep(args.max_order, args.max_n, budget)
-    references = check_reference_values(budget)
+    known = {(case.group, case.n): case.values for case in report.cases}
+    references = check_reference_values(budget, known)
     mismatches = [row for row in references if not row.match]
     ok = report.ok and not mismatches
 

@@ -1,34 +1,22 @@
 """Closed-form counts of element-system orbits.
 
-closed_count splits the group into its Sylow p-subgroups G_p.  Aut(G) is
-the product of the Aut(G_p) and fixed-point counts multiply, so each
-Sylow factor contributes its own census of automorphisms, tallied by the
-exponents of their powers' fixed-point counts, listed in the cheapest way
-its kind allows: a cyclic factor from its unit-order shapes (k, d) and
-numtheory.shape_orders, the map delta_vector inverts, never listing units;
-an elementary factor C_p^s from the conjugacy classes of GL(s, p)
-(glclasses), never listing matrices; any other factor by listing its
-automorphisms, so max_endo_candidates applies to that factor alone, with
-one Smith form per automorphism (abelian.kernel_census), each power's
-fixed count p**c read from a table of those; a factor with b >= 2 factors
-C_p beside larger ones lists only the automorphisms over one block per
-GL(b, p) conjugacy class and over its powers.  No element is mapped, so
-max_group_order does not apply and the congruence method's element images
-stay a separate witness.  The per-prime censuses are evaluated either
-profile by profile through the shared cycle-index kernel or cycle type by
-cycle type, whichever is estimated cheaper, and the total is divided by
-n! * |Aut(G)| once.
+closed_count splits the group into its Sylow p-subgroups G_p: Aut(G) is the
+product of the Aut(G_p) and fixed-point counts multiply, so each G_p gives
+its census of automorphisms by the exponents of their powers' fixed counts
+(_sylow_census), listed as cheaply as its kind allows and never mapping an
+element, so max_group_order does not apply and the congruence method's
+element images stay a separate witness.  census_count evaluates censuses,
+whole or cut to a shorter tuple length, profile by profile or cycle type by
+cycle type, whichever is estimated cheaper, and divides by n! * |Aut(G)|.
 
 The paper's forms stay independent of that census and serve as witnesses:
 for cyclic prime-power groups the Burnside average collapses to a sum over
-the shapes and permutation cycle types, with the shape exponent functions
-f_p and f_2 giving the power of p contributed by each cycle type (f_2's
-d == 1 shapes take f_p's levelled sum), and n_cyclic takes a product of
-per-prime block sums for any cyclic group, so n_cyclic_prime_power is its
-single-prime case.  n_cyclic_prime_power_alt regroups the shape sum;
-formula_prime_any_n, the paper's form for C_p, is its e == 1 case.
-n_elementary_abelian tallies the GL(s, p) census by scanning matrices:
-kernel_census on C_p^s, scanned as one block and not split by class.
+the shapes and permutation cycle types, the shape exponent functions f_p
+and f_2 giving the power of p each cycle type contributes, and n_cyclic
+takes a product of per-prime block sums for any cyclic group.
+n_cyclic_prime_power_alt regroups the shape sum; formula_prime_any_n, the
+paper's form for C_p, is its e == 1 case.  n_elementary_abelian scans
+GL(s, p) as one block (kernel_census on C_p^s), not split by class.
 """
 from __future__ import annotations
 
@@ -205,25 +193,27 @@ def n_cyclic(m: int, n: int) -> int:
     """Orbit count for the cyclic group of order m >= 1.
 
     The automorphism average factors over the prime-power components of m,
-    so each cycle type contributes a product of per-prime block sums.
+    so each cycle type contributes its permutation count times a product of
+    per-prime block sums, all integers; the total is divided once by
+    n! * phi(m).
     """
     if m < 1:
         raise ValueError(f"order must be >= 1, got {m}")
     if n < 1:
         raise ValueError(f"tuple length must be >= 1, got {n}")
     factors = factorize(m)
-    total = Fraction(0)
+    total = 0
     for lam in cycle_types(n):
-        term = lam.weight()
+        term = lam.permutation_count()
         for p, e in factors:
-            block = sum(
-                _shape_weight(p, e, k, d)
-                * p ** (2 * _shape_exponent(lam, p, e, k, d))
+            term *= sum(
+                _shape_weight(p, e, k, d) * p ** (2 * _shape_exponent(lam, p, e, k, d))
                 for k, d in shape_parameters(p, e)
             )
-            term *= Fraction(block, euler_phi(p**e))
         total += term
-    return _as_int(total, f"count for C{m}, n={n}")
+    return exact_quotient(
+        total, math.factorial(n) * euler_phi(m), f"count for C{m}, n={n}"
+    )
 
 
 # A per-prime census is (p, {exponent profile (c_1, ..., c_n): count}): the
@@ -341,6 +331,28 @@ def cheaper_census_sum(
     return census_sum_by_cycle_type
 
 
+def census_count(
+    censuses: Sequence[PrimeCensus], n: int, what: str, census_sum: Callable | None = None
+) -> int:
+    """Orbit count of the group `what` at tuple length n from censuses whose
+    profiles have n or more entries, cut to their first n: the census at n.
+    census_sum (by default the cheaper evaluator) sums them, and the total
+    is divided once by n! times the product of their totals, |Aut(G)|."""
+    cut = []
+    for p, census in censuses:
+        if len(next(iter(census))) > n:
+            prefixes: dict[tuple[int, ...], int] = {}
+            for profile, count in census.items():
+                prefixes[profile[:n]] = prefixes.get(profile[:n], 0) + count
+            census = prefixes
+        cut.append((p, census))
+    total = (census_sum or cheaper_census_sum(cut, n))(cut, n)
+    aut_order = math.prod(sum(census.values()) for _, census in cut)
+    return exact_quotient(
+        total, math.factorial(n) * aut_order, f"fixed-point total for {what}, n={n}"
+    )
+
+
 def enumerate_invertible_matrices(
     p: int, s: int, budget: Budget = DEFAULT_BUDGET
 ) -> list[Matrix]:
@@ -378,40 +390,33 @@ def matrix_scan_census(
     return kernel_census(AbelianGroup(((p, 1),) * s), n, budget)
 
 
-def n_elementary_abelian(p: int, s: int, n: int, budget: Budget = DEFAULT_BUDGET) -> int:
-    """Orbit count for the direct sum of s copies of C_p, by the matrix scan.
+def elementary_counts(
+    group: AbelianGroup, n: int, budget: Budget = DEFAULT_BUDGET
+) -> Callable[[int], int]:
+    """The orbit count of C_p^s at every tuple length k <= n, by the matrix
+    scan: A**r fixes p**corank(A**r - I) elements, and as many characters,
+    so the invertible matrices are tallied by that profile up to n
+    (matrix_scan_census) and census_count sums the census profile by
+    profile.  closed_count takes the class census (gl_class_census)."""
+    p, s = group.factors[0][0], group.rank
+    census = [(p, matrix_scan_census(p, s, n, budget))]
+    return lambda k: census_count(census, k, f"C{p}^{s}", census_sum_by_profile)
 
-    A matrix power A**r fixes p**corank(A**r - I) elements, and as many
-    characters, so the scanned invertible matrices are tallied by their
-    corank profile over r = 1..n (matrix_scan_census) and the census goes
-    through the cycle-index kernel.  This is the `elementary` witness of
-    verify; closed_count takes the class census (gl_class_census).
-    """
-    census = matrix_scan_census(p, s, n, budget)
-    fixed = {tuple(p**c for c in profile): count for profile, count in census.items()}
-    return exact_quotient(
-        cycle_index_sum(fixed, n),
-        sum(census.values()) * math.factorial(n),
-        f"fixed-point total for C{p}^{s}, n={n}",
-    )
+
+def n_elementary_abelian(p: int, s: int, n: int, budget: Budget = DEFAULT_BUDGET) -> int:
+    """Orbit count for C_p^s at n alone, the `elementary` witness of verify
+    (elementary_counts)."""
+    return elementary_counts(AbelianGroup(((p, 1),) * s), n, budget)(n)
 
 
 def _sylow_census(
     sylow: AbelianGroup, n: int, budget: Budget
 ) -> Mapping[tuple[int, ...], int]:
-    """Aut of a p-group tallied by exponent profile, by the lister for its kind.
-
-    Cyclic: the unit census.  Elementary: the GL(s, p) class census.  Any
-    other p-group: abelian.kernel_census slices its automorphism index, takes
-    one Smith form per listed automorphism and reads each power's from a
-    table over the candidate space; no element is ever mapped, and no
-    automorphism is cached.  With b >= 2 factors C_p beside larger ones it
-    lists only the automorphisms over one C_p**b block per GL(b, p) class,
-    weighted by the class size, and over that block's powers.
-
-    max_endo_candidates prices the automorphisms listed at n = 1 and the
-    candidate space of the int8 table at n >= 2 (kernel_census), and
-    max_matrix_candidates the p**b * b**2 entries of <= p**b representatives.
+    """Aut of a p-group tallied by exponent profile, by the lister for its
+    kind: a cyclic one's unit census (its shapes, never listing units), an
+    elementary one's GL(s, p) class census (never listing matrices), and
+    any other's abelian.kernel_census, which prices it by its own
+    max_endo_candidates and lists at most one C_p**b block per class.
     """
     p, e = sylow.factors[0]
     if sylow.is_cyclic():
@@ -421,26 +426,25 @@ def _sylow_census(
     return kernel_census(sylow, n, budget)
 
 
-def closed_count(group: AbelianGroup, n: int, budget: Budget = DEFAULT_BUDGET) -> int:
-    """Orbit count from the per-Sylow censuses of the automorphisms.
-
-    Each Sylow p-subgroup gives its census (_sylow_census), the censuses go
-    to whichever evaluator is estimated cheaper, and the total is divided
-    once by n! times the product of the census totals, |Aut(G)|.  The
+def closed_counts(
+    group: AbelianGroup, n: int, budget: Budget = DEFAULT_BUDGET
+) -> Callable[[int], int]:
+    """The orbit count at every tuple length k <= n from the per-Sylow
+    censuses of the automorphisms at n (_sylow_census, census_count); the
     witnesses n_cyclic, n_elementary_abelian and orbit_count_congruence
-    compute the same count without the per-Sylow split.
-    """
+    compute the same counts without the per-Sylow split."""
     if n < 1:
         raise ValueError(f"tuple length must be >= 1, got {n}")
     censuses = [
         (p, _sylow_census(AbelianGroup(tuple(factors)), n, budget))
         for p, factors in itertools.groupby(group.factors, operator.itemgetter(0))
     ]
-    total = cheaper_census_sum(censuses, n)(censuses, n)
-    aut_order = math.prod(sum(census.values()) for _, census in censuses)
-    return exact_quotient(
-        total, math.factorial(n) * aut_order, f"fixed-point total for {group}, n={n}"
-    )
+    return lambda k: census_count(censuses, k, str(group))
+
+
+def closed_count(group: AbelianGroup, n: int, budget: Budget = DEFAULT_BUDGET) -> int:
+    """Orbit count from the per-Sylow censuses at n alone (closed_counts)."""
+    return closed_counts(group, n, budget)(n)
 
 
 def formula_prime_power_n1(p: int, e: int) -> int:

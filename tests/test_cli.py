@@ -237,7 +237,7 @@ def test_verify_json(capsys):
 
 
 def test_verify_detects_mismatch(capsys, monkeypatch):
-    monkeypatch.setattr(cli, "check_reference_values", lambda budget: [])
+    monkeypatch.setattr(cli, "check_reference_values", lambda budget, known: [])
 
     class FakeCase:
         group = "C2"

@@ -3,7 +3,7 @@ order sweep, and the reference-value table."""
 import pytest
 
 from escount.abelian import parse_group
-from escount.budget import Budget
+from escount.budget import DEFAULT_BUDGET, Budget
 from escount.verify import (
     METHODS,
     abelian_groups_of_order,
@@ -177,3 +177,54 @@ def test_check_reference_values_runs_the_method_table(monkeypatch):
     for row in rows:
         assert row.computed["congruence"] == row.expected + 1
         assert not row.match
+
+
+@pytest.mark.parametrize("budget", [DEFAULT_BUDGET, Budget(max_endo_candidates=8)])
+def test_sweep_equals_per_case_cross_check(budget):
+    # sweep reads every n from one census per census method; its cases
+    # must be cross_check's, refusals included.
+    report = sweep(12, 3, budget)
+    per_case = [
+        cross_check(group, n, budget=budget)
+        for order in range(1, 13)
+        for group in abelian_groups_of_order(order)
+        for n in range(1, 4)
+    ]
+    assert [(c.group, c.n) for c in report.cases] == [(c.group, c.n) for c in per_case]
+    for swept, single in zip(report.cases, per_case):
+        assert swept.values == single.values, (swept.group, swept.n)
+        assert swept.skipped == single.skipped, (swept.group, swept.n)
+        assert swept.agree == single.agree
+        assert list(swept.elapsed_ms) == list(single.elapsed_ms)
+    if budget == DEFAULT_BUDGET:
+        return
+    # kernel_census prices the listed automorphisms at n = 1 and the whole
+    # candidate space at n >= 2, so these censuses fit at n = 1 only.
+    cases = {(c.group, c.n): c for c in report.cases}
+    for group, method in (("C2xC4", "closed"), ("C2xC2", "elementary")):
+        assert method in cases[(group, 1)].values
+        for n in (2, 3):
+            assert "max_endo_candidates" in cases[(group, n)].skipped[method]
+
+
+def test_sweep_takes_one_census_per_method_and_group(monkeypatch):
+    calls = []
+    closed = METHODS["closed"]
+    counts = closed.counts
+
+    def counting(group, n, budget):
+        calls.append((str(group), n))
+        return counts(group, n, budget)
+
+    monkeypatch.setattr(closed, "counts", counting)
+    sweep(4, 3)
+    assert calls == [("C1", 3), ("C2", 3), ("C3", 3), ("C4", 3), ("C2xC2", 3)]
+
+
+def test_check_reference_values_reads_known_counts():
+    # A wrong count known for one method and case is read, not recomputed:
+    # that row alone mismatches.
+    rows = check_reference_values(known={("C4", 2): {"congruence": 75}})
+    mismatched = [row for row in rows if not row.match]
+    assert [(row.group, row.n) for row in mismatched] == [("C4", 2)]
+    assert mismatched[0].computed == {"naive": 76, "congruence": 75, "cyclic": 76, "formula": 76}
