@@ -13,7 +13,10 @@ The automorphisms of a group are listed as one sorted array of candidate
 indices from its GL(b, p) blocks (automorphism_index).  The element-image
 methods read them as one cached read-only (k, s, s) stack (Automorphisms);
 the closed form's census of a p-group (kernel_census) decodes the index a
-slice at a time and caches no automorphism.
+slice at a time and caches no automorphism.  Where it lists only some
+C_p**b blocks, the index is left unsorted, block after block, so each row's
+weight is read from its position, and the census pass reads only the rows
+over class representatives.
 """
 from __future__ import annotations
 
@@ -23,7 +26,7 @@ import operator
 from collections import Counter, abc
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -302,7 +305,7 @@ def _listed_per_block(group: AbelianGroup, p: int, b: int) -> int:
 def automorphism_index(
     group: AbelianGroup, blocks: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The sorted int64 candidate indices of the group's automorphisms,
+    """The int64 candidate indices of the group's automorphisms, sorted,
     then the three _candidate_cells arrays: the arguments of _decode.
 
     Cell (i, j) holds d * m_i / c for a digit d below c = gcd(m_i, m_j), so a
@@ -314,10 +317,12 @@ def automorphism_index(
     matrix's digits plus p * [0, p**(e - 1)) in each of its cells; per other
     cell, [0, c).  An elementary group is one block, its index |GL(s, p)| * 8
     bytes.  Given `blocks`, a (k, b, b) stack of GL(b, p) matrices, only the
-    automorphisms whose block of C_p factors is one of them are listed,
-    every other block and cell in full.  The number listed must be
-    automorphism_count, or k * _listed_per_block given `blocks`; any other
-    raises IntegralityError."""
+    automorphisms of a p-group whose block of C_p factors is one of them are
+    listed, every other block and cell in full, and unsorted: the C_p block
+    is the first part summed, so rows j * per_block to (j + 1) * per_block,
+    per_block = _listed_per_block, are those over blocks[j].  The number
+    listed must be automorphism_count, or k * per_block given `blocks`; any
+    other raises IntegralityError."""
     counts, steps, strides = _candidate_cells(group)
     expected = automorphism_count(group)
     parts, free = [], np.ones(counts.shape, dtype=bool)
@@ -338,7 +343,8 @@ def automorphism_index(
         index = (index[:, None] + part).ravel()
     if (found := len(index)) != expected:
         raise IntegralityError(f"listed {found} automorphisms of {group}, expected {expected}")
-    index.sort()
+    if blocks is None:
+        index.sort()
     return index, counts, steps, strides
 
 
@@ -356,28 +362,16 @@ def candidate_space(group: AbelianGroup) -> int:
     return math.prod(math.gcd(a, b) for a in mods for b in mods)
 
 
-def _class_blocks(
-    p: int, b: int, n: int, budget: Budget
-) -> tuple[np.ndarray, Callable[[np.ndarray], np.ndarray]]:
-    """The (k, b, b) stack of C_p**b blocks that kernel_census lists, and a
-    map from a stack of automorphisms over them to their int64 weights: a
-    block that is a GL(b, p) class representative R weighs its class size,
-    and a power R**r (r <= n) that is no representative weighs 0."""
+def _class_blocks(p: int, b: int, n: int, budget: Budget) -> tuple[np.ndarray, tuple[int, ...]]:
+    """The (k, b, b) stack of C_p**b blocks that kernel_census lists, and the
+    class sizes of its first blocks: the GL(b, p) class representatives R,
+    then, once each, every power R**r (r <= n) that is no representative."""
     representatives, sizes = gl_class_representatives(p, b, budget)
-    place = p ** np.arange(b * b - 1, -1, -1, dtype=np.int64)
-    weight = {}
-    power = representatives
+    stacks = [representatives]
     for _ in range(1, n):
-        power = power @ representatives % p
-        weight.update(dict.fromkeys((power.reshape(-1, b * b) @ place).tolist(), 0))
-    weight.update(zip((representatives.reshape(-1, b * b) @ place).tolist(), sizes))
-    keys = np.array(sorted(weight), dtype=np.int64)
-    weights = np.array([weight[key] for key in keys.tolist()], dtype=np.int64)
-
-    def weigh(matrices: np.ndarray) -> np.ndarray:
-        return weights[np.searchsorted(keys, matrices[:, :b, :b].reshape(-1, b * b) @ place)]
-
-    return (keys[:, None] // place % p).reshape(-1, b, b), weigh
+        stacks.append(stacks[-1] @ representatives % p)
+    rows = dict.fromkeys(map(tuple, np.concatenate(stacks).reshape(-1, b * b).tolist()))
+    return np.array(list(rows), dtype=np.int64).reshape(-1, b, b), sizes
 
 
 def kernel_census(
@@ -390,13 +384,13 @@ def kernel_census(
     Every A**r is itself an automorphism, with an index in the candidate
     space (automorphism_index).  So one pass over the MATRIX_CHUNK slices
     of the index stores c(B) for each listed automorphism B in an int8
-    table over that space, -1 where none is listed.  A second pass over
-    the same slices reads c(A**r) for r = 2..n at the index of A**r (row i
-    reduced mod m_i, cell digit entry // (m_i / c)); a power that lands on
-    -1 raises IntegralityError.  At n = 1 the first pass is the census and
-    no table is built.  An elementary group C_p^s is one GL(s, p) block,
-    listed in full, its index |GL(s, p)| * 8 bytes;
-    closed_form.matrix_scan_census is that census.
+    table over that space, -1 where none is listed.  The census pass reads
+    c(A**r) for r = 1..n at the index of A**r (row i reduced mod m_i, cell
+    digit entry // (m_i / c)); a power that lands on -1 raises
+    IntegralityError.  At n = 1 no table is built and the census pass
+    eliminates.  An elementary group C_p^s is one GL(s, p) block, listed in
+    full, its index |GL(s, p)| * 8 bytes; closed_form.matrix_scan_census is
+    that census.
 
     A group with b >= 2 factors C_p beside larger ones lists fewer.  Its
     block of those factors is in GL(b, p), and reading that block is a
@@ -404,9 +398,11 @@ def kernel_census(
     e >= 2 is zero; so the block of A**r is R**r when A's is R.  Conjugating
     by diag(P, I) keeps every fixed count and maps the automorphisms over
     block R onto those over P R P**-1.  So only the blocks of _class_blocks
-    are listed, each in full; an automorphism over a representative is
-    tallied with its class size, and those over its powers only fill the
-    table.
+    are listed, each in full and block after block.  The rows over the class
+    representatives come first, each weighed by its class size; the census
+    pass reads only those, and the rows over the other powers only fill the
+    table.  A tally that does not add up to automorphism_count raises
+    IntegralityError.
 
     At n = 1 max_endo_candidates prices the automorphisms listed, taking
     p**b for the class count before any class is built; at n >= 2 it prices
@@ -417,51 +413,46 @@ def kernel_census(
         budget.check("max_endo_candidates", space)
     s, p = group.rank, group.factors[0][0]
     b = group.factors.count((p, 1))
-    blocks = weigh = None
+    order = automorphism_count(group)
+    blocks = weights = None
     if 2 <= b < s:
+        per_block = _listed_per_block(group, p, b)
         if n == 1:
-            budget.check("max_endo_candidates", p**b * _listed_per_block(group, p, b))
-        blocks, weigh = _class_blocks(p, b, n, budget)
+            budget.check("max_endo_candidates", p**b * per_block)
+        blocks, sizes = _class_blocks(p, b, n, budget)
+        weights = np.repeat(sizes, per_block)
     elif n == 1:
-        budget.check("max_endo_candidates", automorphism_count(group))
+        budget.check("max_endo_candidates", order)
     index, *layout = automorphism_index(group, blocks)
     identity = np.eye(s, dtype=np.int64)
-    table = np.full(space, -1, dtype=np.int8) if n > 1 else None
+    if n > 1:
+        table = np.full(space, -1, dtype=np.int8)
+        for lo in range(0, len(index), MATRIX_CHUNK):
+            part = index[lo : lo + MATRIX_CHUNK]
+            table[part] = kernel_exponents(group, _decode(part, *layout) - identity)
+        _, steps, strides = layout
+        # In a p-group, m_i divides the stride of every cell (i, j < s - 1) and
+        # the step of (i, s - 1) is 1, so digit * stride = entry * place.
+        places = (strides // steps).ravel()
+        mods = np.array(group.moduli, dtype=np.int64)[:, None]
+        # Row i modulo m_i; for p = 2 a mask is faster.
+        reduce, by = (np.bitwise_and, mods - 1) if p == 2 else (np.remainder, mods)
+    tallied = index if weights is None else index[: len(weights)]
     census: Counter = Counter()
-    for lo in range(0, len(index), MATRIX_CHUNK):
-        part = index[lo : lo + MATRIX_CHUNK]
-        chunk = _decode(part, *layout)
-        exponents = kernel_exponents(group, chunk - identity).astype(np.int8)
-        if n > 1:
-            table[part] = exponents
-        else:
-            tally_rows(census, exponents[:, None], None if weigh is None else weigh(chunk))
-    if n == 1:
-        return dict(census)
-    _, steps, strides = layout
-    # In a p-group, m_i divides the stride of every cell (i, j < s - 1) and
-    # the step of (i, s - 1) is 1, so digit * stride = entry * weight.
-    weights = (strides // steps).ravel()
-    mods = np.array(group.moduli, dtype=np.int64)[:, None]
-    # Row i modulo m_i; for p = 2 a mask is faster.
-    reduce, by = (np.bitwise_and, mods - 1) if p == 2 else (np.remainder, mods)
-    for lo in range(0, len(index), MATRIX_CHUNK):
-        part = index[lo : lo + MATRIX_CHUNK]
+    for lo in range(0, len(tallied), MATRIX_CHUNK):
+        part = tallied[lo : lo + MATRIX_CHUNK]
         matrices = _decode(part, *layout)
-        counts = None
-        if weigh is not None:
-            counts = weigh(matrices)
-            tallied = counts > 0
-            part, matrices, counts = part[tallied], matrices[tallied], counts[tallied]
         profiles = np.empty((len(part), n), dtype=np.int8)
-        profiles[:, 0] = table[part]
+        profiles[:, 0] = table[part] if n > 1 else kernel_exponents(group, matrices - identity)
         power = matrices
         for r in range(1, n):
             power = reduce(power @ matrices, by)
-            profiles[:, r] = table[power.reshape(-1, s * s) @ weights]
-        if (profiles < 0).any():
+            profiles[:, r] = table[power.reshape(-1, s * s) @ places]
+        if n > 1 and (profiles < 0).any():
             raise IntegralityError(f"a power of an automorphism of {group} is not listed")
-        tally_rows(census, profiles, counts)
+        tally_rows(census, profiles, None if weights is None else weights[lo : lo + MATRIX_CHUNK])
+    if (total := sum(census.values())) != order:
+        raise IntegralityError(f"the census of {group} tallies {total} automorphisms, not {order}")
     return dict(census)
 
 

@@ -758,9 +758,63 @@ def test_kernel_census_refuses_a_power_missing_from_the_table(monkeypatch):
         return index[~(matrices == identity).all(axis=(1, 2))], *layout
 
     monkeypatch.setattr(abelian, "automorphism_index", without_identity)
-    assert sum(abelian.kernel_census(group, 1).values()) == order - 1
+    with pytest.raises(IntegralityError, match=f"tallies {order - 1} automorphisms, not {order}"):
+        abelian.kernel_census(group, 1)
     with pytest.raises(IntegralityError, match="not listed"):
         abelian.kernel_census(group, 2)
+
+
+@pytest.mark.parametrize("n", [1, 3])
+def test_kernel_census_checks_its_total(monkeypatch, n):
+    """A class size off by one weighs the tally away from |Aut|, which
+    nothing else in the listing notices."""
+    group = parse_group("C2^3xC4")
+    real = abelian.gl_class_representatives
+
+    def miscounted(p, b, budget=Budget()):
+        representatives, sizes = real(p, b, budget)
+        return representatives, (sizes[0] + 1, *sizes[1:])
+
+    monkeypatch.setattr(abelian, "gl_class_representatives", miscounted)
+    with pytest.raises(IntegralityError, match="tallies"):
+        abelian.kernel_census(group, n)
+
+
+@pytest.mark.parametrize(
+    "spec,n,decoded",
+    # The table pass decodes every listed row, the census pass only the
+    # rows over the GL(b, p) class representatives.
+    [("C2^3xC4", 3, [1_664, 768]), ("C3^2xC9", 2, [5_832, 3_888])],
+)
+def test_kernel_census_pass_reads_only_what_it_tallies(monkeypatch, spec, n, decoded):
+    group = parse_group(spec)
+    rows = []
+    real = abelian._decode
+
+    def counted(index, *layout):
+        rows.append(len(index))
+        return real(index, *layout)
+
+    monkeypatch.setattr(abelian, "_decode", counted)
+    census = abelian.kernel_census(group, n)
+    assert rows == decoded
+    assert sum(census.values()) == abelian.automorphism_count(group)
+
+
+@pytest.mark.parametrize("spec,p,b", [("C2^2xC4", 2, 2), ("C3^2xC9", 3, 2)])
+def test_automorphism_index_lists_class_blocks_one_after_another(spec, p, b):
+    """Given blocks, the listing is unsorted: slice j of per_block rows is
+    the automorphisms over blocks[j], representatives first."""
+    group = parse_group(spec)
+    blocks, sizes = abelian._class_blocks(p, b, 2, Budget())
+    assert len(sizes) < len(blocks)
+    np.testing.assert_array_equal(blocks[: len(sizes)], gl_class_representatives(p, b)[0])
+    index, *layout = abelian.automorphism_index(group, blocks)
+    per_block = abelian.automorphism_count(group) // general_linear_order(p, b)
+    assert len(index) == len(blocks) * per_block
+    for j, block in enumerate(blocks):
+        matrices = abelian._decode(index[j * per_block : (j + 1) * per_block], *layout)
+        assert (matrices[:, :b, :b] == block).all(), j
 
 
 def test_closed_count_maps_no_element_of_a_scanned_factor(monkeypatch):
