@@ -11,12 +11,13 @@ with entry ``(i, j)`` constrained to be a multiple of
 
 The automorphisms of a group are listed as one sorted array of candidate
 indices from its GL(b, p) blocks (automorphism_index).  The element-image
-methods read them as one cached read-only (k, s, s) stack (Automorphisms);
-the closed form's census of a p-group (kernel_census) decodes the index a
-slice at a time and caches no automorphism.  Where it lists only some
-C_p**b blocks, the index is left unsorted, block after block, so each row's
-weight is read from its position, and the census pass reads only the rows
-over class representatives.
+methods read them as one read-only (k, s, s) stack (Automorphisms), cached
+for the last eight groups; the closed form's census of a p-group
+(kernel_census) decodes the index a slice at a time, finds each power of an
+automorphism in it by binary search, and caches no automorphism.  Where it
+lists only some C_p**b blocks, the index is left unsorted, block after
+block, so each row's class is read from its position, and the census pass
+reads only the rows over class representatives.
 """
 from __future__ import annotations
 
@@ -381,16 +382,15 @@ def kernel_census(
     (c_1, ..., c_n), where A**r fixes p**c_r elements: one kernel_exponents
     row per listed automorphism, and nothing cached.
 
-    Every A**r is itself an automorphism, with an index in the candidate
-    space (automorphism_index).  So one pass over the MATRIX_CHUNK slices
-    of the index stores c(B) for each listed automorphism B in an int8
-    table over that space, -1 where none is listed.  The census pass reads
-    c(A**r) for r = 1..n at the index of A**r (row i reduced mod m_i, cell
-    digit entry // (m_i / c)); a power that lands on -1 raises
-    IntegralityError.  At n = 1 no table is built and the census pass
-    eliminates.  An elementary group C_p^s is one GL(s, p) block, listed in
-    full, its index |GL(s, p)| * 8 bytes; closed_form.matrix_scan_census is
-    that census.
+    Every A**r is itself an automorphism, listed in the same index
+    (automorphism_index).  So one pass over the MATRIX_CHUNK slices of the
+    index stores c(B) for each listed automorphism B in an int8 array
+    aligned with it.  At n >= 2 the census pass finds A**r in the index by
+    its candidate index (row i reduced mod m_i, cell digit entry // (m_i /
+    c)), searched through the index's argsort, and reads c(A**r) there; a
+    power that is not listed raises IntegralityError.  An elementary group
+    C_p^s is one GL(s, p) block, listed in full, its index |GL(s, p)| * 8
+    bytes; closed_form.matrix_scan_census is that census.
 
     A group with b >= 2 factors C_p beside larger ones lists fewer.  Its
     block of those factors is in GL(b, p), and reading that block is a
@@ -398,38 +398,37 @@ def kernel_census(
     e >= 2 is zero; so the block of A**r is R**r when A's is R.  Conjugating
     by diag(P, I) keeps every fixed count and maps the automorphisms over
     block R onto those over P R P**-1.  So only the blocks of _class_blocks
-    are listed, each in full and block after block.  The rows over the class
-    representatives come first, each weighed by its class size; the census
-    pass reads only those, and the rows over the other powers only fill the
-    table.  A tally that does not add up to automorphism_count raises
-    IntegralityError.
+    are listed, each in full and block after block.  The census pass reads
+    only the rows over the class representatives, the first ones, and
+    tallies them by class (row // per_block) and profile; each count is
+    then multiplied by its exact class size.  Without such a block all rows
+    are one class of size 1.  A tally that does not add up to
+    automorphism_count raises IntegralityError.
 
-    At n = 1 max_endo_candidates prices the automorphisms listed, taking
-    p**b for the class count before any class is built; at n >= 2 it prices
-    the candidate space, and so the table's bytes.
+    max_endo_candidates prices the rows listed, at every n and before any
+    is listed: |Aut(G)|, or with a block min(p**b * n, |GL(b, p)|) *
+    per_block, taking p**b for the class count.  Each listed row costs
+    about 17 bytes: its index, its exponent and, at n >= 2, its argsort
+    entry.
     """
-    space = candidate_space(group)
-    if n > 1:
-        budget.check("max_endo_candidates", space)
     s, p = group.rank, group.factors[0][0]
     b = group.factors.count((p, 1))
     order = automorphism_count(group)
-    blocks = weights = None
-    if 2 <= b < s:
-        per_block = _listed_per_block(group, p, b)
-        if n == 1:
-            budget.check("max_endo_candidates", p**b * per_block)
-        blocks, sizes = _class_blocks(p, b, n, budget)
-        weights = np.repeat(sizes, per_block)
-    elif n == 1:
-        budget.check("max_endo_candidates", order)
+    split = 2 <= b < s
+    per_block = _listed_per_block(group, p, b) if split else order
+    budget.check(
+        "max_endo_candidates",
+        min(p**b * n, general_linear_order(p, b)) * per_block if split else order,
+    )
+    blocks, sizes = _class_blocks(p, b, n, budget) if split else (None, (1,))
     index, *layout = automorphism_index(group, blocks)
     identity = np.eye(s, dtype=np.int64)
+    exponents = np.empty(len(index), dtype=np.int8)
+    for lo in range(0, len(index), MATRIX_CHUNK):
+        part = index[lo : lo + MATRIX_CHUNK]
+        exponents[lo : lo + MATRIX_CHUNK] = kernel_exponents(group, _decode(part, *layout) - identity)
     if n > 1:
-        table = np.full(space, -1, dtype=np.int8)
-        for lo in range(0, len(index), MATRIX_CHUNK):
-            part = index[lo : lo + MATRIX_CHUNK]
-            table[part] = kernel_exponents(group, _decode(part, *layout) - identity)
+        sorter = np.argsort(index)
         _, steps, strides = layout
         # In a p-group, m_i divides the stride of every cell (i, j < s - 1) and
         # the step of (i, s - 1) is 1, so digit * stride = entry * place.
@@ -437,20 +436,25 @@ def kernel_census(
         mods = np.array(group.moduli, dtype=np.int64)[:, None]
         # Row i modulo m_i; for p = 2 a mask is faster.
         reduce, by = (np.bitwise_and, mods - 1) if p == 2 else (np.remainder, mods)
-    tallied = index if weights is None else index[: len(weights)]
-    census: Counter = Counter()
+    tallied = index[: len(sizes) * per_block]
+    tally: Counter = Counter()
     for lo in range(0, len(tallied), MATRIX_CHUNK):
         part = tallied[lo : lo + MATRIX_CHUNK]
-        matrices = _decode(part, *layout)
-        profiles = np.empty((len(part), n), dtype=np.int8)
-        profiles[:, 0] = table[part] if n > 1 else kernel_exponents(group, matrices - identity)
-        power = matrices
-        for r in range(1, n):
-            power = reduce(power @ matrices, by)
-            profiles[:, r] = table[power.reshape(-1, s * s) @ places]
-        if n > 1 and (profiles < 0).any():
-            raise IntegralityError(f"a power of an automorphism of {group} is not listed")
-        tally_rows(census, profiles, None if weights is None else weights[lo : lo + MATRIX_CHUNK])
+        at = np.arange(lo, lo + len(part))  # the rows whose exponents are read
+        columns = [at // per_block, exponents[at]]  # class, then profile
+        if n > 1:
+            power = matrices = _decode(part, *layout)
+            for _ in range(1, n):
+                power = reduce(power @ matrices, by)
+                code = power.reshape(-1, s * s) @ places
+                at = sorter.take(np.searchsorted(index, code, sorter=sorter), mode="clip")
+                if (index[at] != code).any():
+                    raise IntegralityError(f"a power of an automorphism of {group} is not listed")
+                columns.append(exponents[at])
+        tally_rows(tally, np.stack(columns, axis=1, dtype=np.int32))
+    census: Counter = Counter()
+    for (cls, *profile), count in tally.items():
+        census[tuple(profile)] += count * sizes[cls]
     if (total := sum(census.values())) != order:
         raise IntegralityError(f"the census of {group} tallies {total} automorphisms, not {order}")
     return dict(census)
@@ -515,7 +519,7 @@ def enumerate_automorphisms(
     return _automorphisms(group)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=8)
 def _automorphisms(group: AbelianGroup) -> Automorphisms:
     """The automorphisms of automorphism_index, decoded into one stack of
     k * s**2 * 8 bytes beside the index's k * 8."""
@@ -632,21 +636,13 @@ def rank_mod_p(rows: Iterable[Iterable[int]], p: int) -> int:
     return rank
 
 
-def tally_rows(
-    census: Counter, table: np.ndarray, weights: np.ndarray | None = None
-) -> None:
+def tally_rows(census: Counter, table: np.ndarray) -> None:
     """Add each distinct row of a 2-d integer table to `census` as a tuple
-    key, counted as often as it occurs, or with the sum of its rows' int64
-    `weights` if given: one opaque key per row makes this a 1-d np.unique,
-    far cheaper than axis=0."""
+    key, counted as often as it occurs: one opaque key per row makes this a
+    1-d np.unique, far cheaper than axis=0."""
     table = np.ascontiguousarray(table)
     keys = table.view(np.dtype((np.void, table.itemsize * table.shape[1]))).ravel()
-    if weights is None:
-        _, first, counts = np.unique(keys, return_index=True, return_counts=True)
-    else:
-        _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-        counts = np.zeros(len(first), dtype=np.int64)
-        np.add.at(counts, inverse.ravel(), weights)
+    _, first, counts = np.unique(keys, return_index=True, return_counts=True)
     census.update(dict(zip(map(tuple, table[first].tolist()), counts.tolist())))
 
 

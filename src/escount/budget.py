@@ -56,8 +56,8 @@ class Budget:
     max_endo_candidates:   largest candidate space prod gcd(m_i, m_j) of a
                            group whose automorphisms are listed.  closed_count
                            applies it to each Sylow factor it lists, and the
-                           elementary witness to C_p^s, as kernel_census
-                           prices them (depending on n).
+                           elementary witness to C_p^s, to the rows that
+                           kernel_census lists.
     max_state_space:       largest number of tuples |G|^n of one half in the
                            naive scan, and of configurations |G|^(2n) for the
                            one-pair naive count and for orbit listing.

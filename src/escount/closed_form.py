@@ -380,7 +380,7 @@ def matrix_scan_census(
     census is abelian.kernel_census on C_p^s, one GL(s, p) block not split
     by class, once the p**(s*s) candidates pass max_matrix_candidates, which
     so caps its |GL(s, p)| * 8-byte index (8 MiB at the default budget);
-    kernel_census prices them, or |GL(s, p)| at n = 1, by max_endo_candidates.
+    kernel_census prices the |GL(s, p)| rows it lists by max_endo_candidates.
     """
     if s < 1:
         raise ValueError(f"rank must be >= 1, got {s}")

@@ -373,6 +373,18 @@ def test_automorphism_cache_is_keyed_by_group_alone():
     assert enumerate_automorphisms.cache_info().currsize == 1
 
 
+def test_automorphism_cache_keeps_at_most_eight_groups():
+    """A long-lived process listing many groups keeps the last eight."""
+    enumerate_automorphisms.cache_clear()
+    specs = ("C2", "C3", "C4", "C5", "C2xC2", "C7", "C8", "C2xC4", "C3xC3")
+    for spec in specs:
+        enumerate_automorphisms(parse_group(spec))
+    info = enumerate_automorphisms.cache_info()
+    assert (info.misses, info.currsize, info.maxsize) == (9, 8, 8)
+    enumerate_automorphisms(parse_group("C3xC3"))
+    assert enumerate_automorphisms.cache_info().hits == 1
+
+
 def test_automorphisms_are_one_read_only_stack():
     group = parse_group("C2xC4xC8")
     enumerate_automorphisms.cache_clear()

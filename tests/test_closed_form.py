@@ -578,11 +578,13 @@ def test_closed_count_budget_applies_to_each_scanned_sylow_factor(monkeypatch):
         orbit_count_congruence(group, 2)
     assert excinfo.value.limit_name == "max_group_order"
     assert excinfo.value.required == 81
-    # At n >= 2 the limit prices the int8 table over the 2^26 candidates.
-    with pytest.raises(BudgetExceededError) as excinfo:
-        closed_count(parse_group("C2^4xC4"), 2)
-    assert excinfo.value.limit_name == "max_endo_candidates"
-    assert excinfo.value.required == 2**26
+    # At every n the limit prices the rows listed: |Aut| without a C_p^b
+    # block, min(p^b * n, |GL(b, p)|) blocks of per_block rows with one.
+    for spec, required in (("C3xC9xC27", 1_417_176), ("C2^3xC4^2", 16 * 393_216)):
+        with pytest.raises(BudgetExceededError) as excinfo:
+            closed_count(parse_group(spec), 2)
+        assert excinfo.value.limit_name == "max_endo_candidates"
+        assert excinfo.value.required == required, spec
     # At n = 1 it prices the listed automorphisms with p^b for the class
     # count: 2^5 * 2^11 for C2^5xC4, which lists 27 classes of 2^11 each.
     c2_5xc4 = parse_group("C2^5xC4")
@@ -610,6 +612,13 @@ def test_closed_count_budget_applies_to_each_scanned_sylow_factor(monkeypatch):
 
 def test_closed_count_lists_one_block_per_class_of_c2_4xc4():
     assert closed_count(parse_group("C2^4xC4"), 1) == 20
+
+
+@pytest.mark.parametrize("spec,count", [("C2^4xC4", 584), ("C3^3xC9", 4507)])
+def test_closed_count_answers_block_groups_at_n2_on_the_default_budget(spec, count):
+    """Priced by the rows listed, not by the candidate space (2^26 for
+    C2^4xC4); both counts equal a candidate-table census at a raised limit."""
+    assert closed_count(parse_group(spec), 2) == count
 
 
 # Scanned p-groups whose Smith census is checked against the element images;
@@ -642,7 +651,7 @@ def test_smith_census_matches_the_element_image_census(spec):
 
 @pytest.mark.parametrize("spec,n", [("C3xC9", 25), ("C2xC4xC8", 8)])
 def test_smith_census_matches_the_element_image_census_at_long_n(spec, n):
-    """Powers up to A**n are read from the candidate table, so a long n
+    """Powers up to A**n are looked up in the sorted listing, so a long n
     reaches powers far past the automorphisms' own chunks."""
     group = parse_group(spec)
     assert closed_form._sylow_census(group, n, Budget()) == _element_image_census(group, n)
@@ -778,6 +787,29 @@ def test_kernel_census_checks_its_total(monkeypatch, n):
     monkeypatch.setattr(abelian, "gl_class_representatives", miscounted)
     with pytest.raises(IntegralityError, match="tallies"):
         abelian.kernel_census(group, n)
+
+
+@pytest.mark.parametrize("n", [1, 3])
+def test_kernel_census_tallies_exactly_past_int64(monkeypatch, n):
+    """Class sizes and |Aut| scaled by 2**64 carry the tally past int64,
+    where a weighted int64 sum would wrap or overflow; every count stays
+    exact."""
+    group = parse_group("C2^3xC4")
+    expected = abelian.kernel_census(group, n)
+    scale = 1 << 64
+    real_classes, real_count = abelian.gl_class_representatives, abelian.automorphism_count
+    per_block = abelian._listed_per_block(group, 2, 3)
+
+    def scaled(p, b, budget=Budget()):
+        representatives, sizes = real_classes(p, b, budget)
+        return representatives, tuple(size * scale for size in sizes)
+
+    monkeypatch.setattr(abelian, "gl_class_representatives", scaled)
+    monkeypatch.setattr(abelian, "automorphism_count", lambda space: real_count(space) * scale)
+    monkeypatch.setattr(abelian, "_listed_per_block", lambda *args: per_block)
+    census = abelian.kernel_census(group, n)
+    assert census == {profile: count * scale for profile, count in expected.items()}
+    assert sum(census.values()) > 1 << 63
 
 
 @pytest.mark.parametrize(

@@ -179,14 +179,14 @@ def test_check_reference_values_runs_the_method_table(monkeypatch):
         assert not row.match
 
 
-@pytest.mark.parametrize("budget", [DEFAULT_BUDGET, Budget(max_endo_candidates=8)])
+@pytest.mark.parametrize("budget", [DEFAULT_BUDGET, Budget(max_endo_candidates=128)])
 def test_sweep_equals_per_case_cross_check(budget):
     # sweep reads every n from one census per census method; its cases
     # must be cross_check's, refusals included.
-    report = sweep(12, 3, budget)
+    report = sweep(16, 3, budget)
     per_case = [
         cross_check(group, n, budget=budget)
-        for order in range(1, 13)
+        for order in range(1, 17)
         for group in abelian_groups_of_order(order)
         for n in range(1, 4)
     ]
@@ -198,13 +198,17 @@ def test_sweep_equals_per_case_cross_check(budget):
         assert list(swept.elapsed_ms) == list(single.elapsed_ms)
     if budget == DEFAULT_BUDGET:
         return
-    # kernel_census prices the listed automorphisms at n = 1 and the whole
-    # candidate space at n >= 2, so these censuses fit at n = 1 only.
+    # kernel_census prices the rows it will list: C2xC4's 8 and C2^2's 6 at
+    # every n, but C2^2xC4's min(4n, |GL(2, 2)|) blocks of 32, 4 * 32 at
+    # n = 1 and 6 * 32 at n >= 2.  So that census fits at n = 1 only, and
+    # is retried one n lower.
     cases = {(c.group, c.n): c for c in report.cases}
     for group, method in (("C2xC4", "closed"), ("C2xC2", "elementary")):
-        assert method in cases[(group, 1)].values
-        for n in (2, 3):
-            assert "max_endo_candidates" in cases[(group, n)].skipped[method]
+        for n in (1, 2, 3):
+            assert method in cases[(group, n)].values, (group, n)
+    assert "closed" in cases[("C2xC2xC4", 1)].values
+    for n in (2, 3):
+        assert "max_endo_candidates" in cases[("C2xC2xC4", n)].skipped["closed"]
 
 
 def test_sweep_takes_one_census_per_method_and_group(monkeypatch):
