@@ -142,13 +142,13 @@ def parse_group(text: str) -> AbelianGroup:
     return AbelianGroup(tuple(sorted(factors)))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=8)
 def element_list(group: AbelianGroup) -> tuple[GroupElement, ...]:
     """All exponent tuples of the group in lexicographic order."""
     return tuple(itertools.product(*(range(m) for m in group.moduli)))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=8)
 def element_index(group: AbelianGroup) -> dict[GroupElement, int]:
     return {el: i for i, el in enumerate(element_list(group))}
 
@@ -357,12 +357,6 @@ def automorphism_chunks(group: AbelianGroup) -> Iterator[np.ndarray]:
         yield _decode(index[lo : lo + MATRIX_CHUNK], *layout)
 
 
-def candidate_space(group: AbelianGroup) -> int:
-    """The number prod gcd(m_i, m_j) of candidate endomorphism matrices."""
-    mods = group.moduli
-    return math.prod(math.gcd(a, b) for a in mods for b in mods)
-
-
 def _class_blocks(p: int, b: int, n: int, budget: Budget) -> tuple[np.ndarray, tuple[int, ...]]:
     """The (k, b, b) stack of C_p**b blocks that kernel_census lists, and the
     class sizes of its first blocks: the GL(b, p) class representatives R,
@@ -510,12 +504,12 @@ def enumerate_automorphisms(
 ) -> Automorphisms:
     """All automorphisms of the group, in the order of automorphism_index.
 
-    Only max_endo_candidates, on the candidate space, is checked, on
-    every call; the paths that map elements check max_group_order
-    themselves.  The stack is cached by group alone, so every budget that
-    admits the group reads the same entry.
+    Only max_endo_candidates, on the automorphism_count rows listed, is
+    checked, on every call; the paths that map elements check
+    max_group_order themselves.  The stack is cached by group alone, so
+    every budget that admits the group reads the same entry.
     """
-    budget.check("max_endo_candidates", candidate_space(group))
+    budget.check("max_endo_candidates", automorphism_count(group))
     return _automorphisms(group)
 
 

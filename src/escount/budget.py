@@ -53,11 +53,12 @@ class Budget:
                            and fixed-element counts: congruence, naive and
                            orbit listing), not for their scan; closed_count
                            maps no element, so it never checks this limit.
-    max_endo_candidates:   largest candidate space prod gcd(m_i, m_j) of a
-                           group whose automorphisms are listed.  closed_count
-                           applies it to each Sylow factor it lists, and the
-                           elementary witness to C_p^s, to the rows that
-                           kernel_census lists.
+    max_endo_candidates:   largest number of automorphisms listed, by either
+                           lister: |Aut(G)| for the cached stack
+                           (enumerate_automorphisms), and the rows that
+                           kernel_census lists for closed_count, on each
+                           Sylow factor, and for the elementary witness,
+                           on C_p^s.
     max_state_space:       largest number of tuples |G|^n of one half in the
                            naive scan, and of configurations |G|^(2n) for the
                            one-pair naive count and for orbit listing.

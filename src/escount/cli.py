@@ -307,6 +307,8 @@ def cmd_verify(args, budget: Budget) -> int:
             for case in report.disagreements:
                 print(f"DISAGREE {case.group} n={case.n}: {case.values}")
             for row in references:
+                for method, reason in row.skipped.items():
+                    print(f"skipped reference {row.group} n={row.n} {method}: {reason}")
                 status = "ok" if row.match else "MISMATCH"
                 print(
                     f"reference {row.label} {row.group} n={row.n} "

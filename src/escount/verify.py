@@ -1,10 +1,12 @@
 """Cross-validation of the independent counting methods.
 
-Every group admits the naive scan, the congruence-style average and
-closed_count, which multiplies per-Sylow censuses; cyclic and elementary
-abelian groups add the paper's closed forms.  cross_check runs the methods
-on one case, sweep on every abelian group and n up to two bounds, and
-check_reference_values checks a table of known counts.
+Every group admits the naive scan, the congruence-style average and the
+closed count, which multiplies per-Sylow censuses; cyclic and elementary
+abelian groups add the paper's closed forms.  Each METHODS entry is a
+counts form: counts(group, n, budget) returns k -> count for every k <= n.
+cross_check runs the methods on one case, sweep on every abelian group and
+n up to two bounds, and check_reference_values checks a table of known
+counts through cross_check.
 """
 from __future__ import annotations
 
@@ -15,16 +17,14 @@ from typing import Mapping
 
 from .abelian import AbelianGroup, parse_group
 from .budget import Budget, BudgetExceededError, DEFAULT_BUDGET
-from .burnside import congruence_counts, orbit_count_congruence, orbit_count_naive
+from .burnside import congruence_counts, orbit_count_naive
 from .closed_form import (
-    closed_count,
     closed_counts,
     elementary_counts,
     formula_prime_power_n1,
     formula_prime_power_n2,
     formula_squarefree_n1,
     n_cyclic,
-    n_elementary_abelian,
 )
 from .numtheory import factorize, integer_partitions
 
@@ -60,31 +60,27 @@ class VerificationReport:
 
 @dataclass
 class ReferenceRow:
-    """A known count recomputed by every applicable method."""
+    """A known count recomputed by every applicable method, and the methods
+    that the budget skipped."""
 
     label: str
     group: str
     n: int
     expected: int
     computed: dict[str, int]
+    skipped: dict[str, str]
     match: bool
 
 
-def _method_elementary(group: AbelianGroup, n: int, budget: Budget) -> int:
-    return n_elementary_abelian(group.factors[0][0], group.rank, n, budget)
-
-
+# Each method's counts form: k -> count for every k <= n.  The census
+# methods take one census at n; naive and cyclic compute each k on call.
 METHODS = {
-    "naive": orbit_count_naive,
-    "congruence": orbit_count_congruence,
-    "cyclic": lambda group, n, budget: n_cyclic(group.order, n),
-    "elementary": _method_elementary,
-    "closed": closed_count,
+    "naive": lambda group, n, budget: lambda k: orbit_count_naive(group, k, budget),
+    "congruence": congruence_counts,
+    "cyclic": lambda group, n, budget: lambda k: n_cyclic(group.order, k),
+    "elementary": elementary_counts,
+    "closed": closed_counts,
 }
-# The census methods' `counts` form: the count at every k <= n from one census at n.
-orbit_count_congruence.counts = congruence_counts
-_method_elementary.counts = elementary_counts
-closed_count.counts = closed_counts
 
 
 def applicable_methods(group: AbelianGroup) -> list[str]:
@@ -98,22 +94,18 @@ def applicable_methods(group: AbelianGroup) -> list[str]:
 
 
 def _cases(group: AbelianGroup, names: list[str], ns: range, budget: Budget) -> list[CaseResult]:
-    """cross_check's cases at every n of ns.  Each method runs from the
-    largest n down; given several n, one with a `counts` form takes its
-    census once, at the largest n whose census fits the budget (a refused
-    census is retried one n lower), and reads every smaller n from it.
-    elapsed_ms charges the census to that n, to the others only their
-    truncation and evaluation."""
+    """cross_check's cases at every n of ns.  Each method's counts form is
+    called once, at the largest n it fits the budget (a refused call is
+    retried one n lower), and every smaller n is read from it; a census
+    method so takes one census for all of ns.  elapsed_ms charges that call
+    to its n, to the others only their reading."""
     cases = {n: CaseResult(str(group), n, {}, {}, True, {}) for n in ns}
     for name in names:
-        method, count_at = METHODS[name], None
-        counts = len(ns) > 1 and getattr(method, "counts", None)
+        count_at = None
         for n in reversed(ns):
             case, start = cases[n], time.perf_counter()
             try:
-                count_at = count_at or (
-                    counts(group, n, budget) if counts else lambda k: method(group, k, budget)
-                )
+                count_at = count_at or METHODS[name](group, n, budget)
                 case.values[name] = count_at(n)
             except BudgetExceededError as exc:
                 case.skipped[name] = str(exc)
@@ -203,23 +195,21 @@ def check_reference_values(
 ) -> list[ReferenceRow]:
     """Check a table of known counts against METHODS and the paper's formulas.
     A method's count is read from `known`, which maps (group, n) to counts
-    by method such as a sweep's case values, or else computed by METHODS."""
+    by method such as a sweep's case values, or else computed by
+    cross_check; a method it skips is recorded in the row's `skipped`, never
+    raised, and the row matches if every count that ran does."""
     rows = []
     for label, formula, names, cases in _REFERENCE_TABLE:
         for spec, n, expected in cases:
             group = parse_group(spec)
             have = (known or {}).get((str(group), n), {})
-            computed = {
-                name: (
-                    formula(group) if name == "formula"
-                    else have[name] if name in have
-                    else METHODS[name](group, n, budget)
-                )
-                for name in names
-            }
+            missing = [name for name in names if name != "formula" and name not in have]
+            case = cross_check(group, n, missing, budget)
+            found = have | case.values | {"formula": formula(group)}
+            computed = {name: found[name] for name in names if name in found}
             rows.append(
                 ReferenceRow(
-                    label, str(group), n, expected, computed,
+                    label, str(group), n, expected, computed, case.skipped,
                     all(v == expected for v in computed.values()),
                 )
             )

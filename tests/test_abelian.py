@@ -385,6 +385,17 @@ def test_automorphism_cache_keeps_at_most_eight_groups():
     assert enumerate_automorphisms.cache_info().hits == 1
 
 
+def test_element_caches_keep_at_most_eight_groups():
+    """Listing the elements of nine groups keeps the last eight of each cache."""
+    for cached in (abelian.element_list, abelian.element_index):
+        cached.cache_clear()
+    for spec in ("C2", "C3", "C4", "C5", "C2xC2", "C7", "C8", "C2xC4", "C3xC3"):
+        abelian.element_index(parse_group(spec))
+    for cached in (abelian.element_list, abelian.element_index):
+        info = cached.cache_info()
+        assert (info.misses, info.currsize, info.maxsize) == (9, 8, 8)
+
+
 def test_automorphisms_are_one_read_only_stack():
     group = parse_group("C2xC4xC8")
     enumerate_automorphisms.cache_clear()
@@ -424,7 +435,7 @@ def test_tighter_budget_refuses_a_cached_group():
             element_path(group, 1, Budget(max_group_order=4))
         assert excinfo.value.limit_name == "max_group_order"
     with pytest.raises(BudgetExceededError) as excinfo:
-        enumerate_automorphisms(group, Budget(max_endo_candidates=8))
+        enumerate_automorphisms(group, Budget(max_endo_candidates=7))
     assert excinfo.value.limit_name == "max_endo_candidates"
 
 

@@ -174,7 +174,7 @@ def test_count_budget_exhausted_all_methods(capsys):
 
 
 def test_count_disagreement_exit_code(capsys, monkeypatch):
-    monkeypatch.setitem(verify.METHODS, "naive", lambda group, n, budget: 999)
+    monkeypatch.setitem(verify.METHODS, "naive", lambda group, n, budget: lambda k: 999)
     code, out, err = run_cli(
         ["count", "--group", "C2", "--n", "1", "--method", "all"], capsys
     )
@@ -188,6 +188,22 @@ def test_verify_text(capsys):
     assert code == cli.EXIT_OK
     assert "cases: 7  disagreements: 0  references: 16  mismatches: 0" in out
     assert out.splitlines()[-1].endswith("  unwitnessed: 0")
+
+
+def test_verify_exits_0_when_a_reference_method_is_refused(capsys, monkeypatch):
+    # The reference table runs through cross_check, so a refusal there is a
+    # skip, printed like a case's, not an uncaught BudgetExceededError.
+    monkeypatch.setenv("ESC_BUDGET", "1")
+    code, out, _ = run_cli(["verify", "--max-order", "2", "--max-n", "1"], capsys)
+    assert code == cli.EXIT_OK
+    assert "skipped reference C4 n=2 naive: budget exceeded: max_state_space" in out
+    code, out, _ = run_cli(
+        ["verify", "--max-order", "2", "--max-n", "1", "--format", "json"], capsys
+    )
+    assert code == cli.EXIT_OK
+    rows = {(row["group"], row["n"]): row for row in json.loads(out)["references"]}
+    assert list(rows[("C4", 2)]["skipped"]) == ["naive"]
+    assert rows[("C4", 1)]["skipped"] == {}
 
 
 def test_verify_reports_cases_with_one_method(capsys, monkeypatch):

@@ -814,7 +814,7 @@ def test_kernel_census_tallies_exactly_past_int64(monkeypatch, n):
 
 @pytest.mark.parametrize(
     "spec,n,decoded",
-    # The table pass decodes every listed row, the census pass only the
+    # The elimination pass decodes every listed row, the census pass only the
     # rows over the GL(b, p) class representatives.
     [("C2^3xC4", 3, [1_664, 768]), ("C3^2xC9", 2, [5_832, 3_888])],
 )

@@ -169,14 +169,41 @@ def test_check_reference_values_rows():
 
 def test_check_reference_values_runs_the_method_table(monkeypatch):
     congruence = METHODS["congruence"]
-    monkeypatch.setitem(
-        METHODS, "congruence", lambda group, n, budget: congruence(group, n, budget) + 1
-    )
+
+    def off_by_one(group, n, budget):
+        counts = congruence(group, n, budget)
+        return lambda k: counts(k) + 1
+
+    monkeypatch.setitem(METHODS, "congruence", off_by_one)
     rows = [row for row in check_reference_values() if "congruence" in row.computed]
     assert len(rows) == 16
     for row in rows:
         assert row.computed["congruence"] == row.expected + 1
         assert not row.match
+
+
+def test_check_reference_values_records_refusals_as_skipped():
+    # naive needs |G|^n states per half: a refusal is recorded, not raised,
+    # and the row matches on the methods that ran.
+    rows = check_reference_values(Budget(max_state_space=1))
+    skipped = {(row.group, row.n): row.skipped for row in rows if row.skipped}
+    assert set(skipped) == {("C2", 2), ("C4", 2)}
+    for reasons in skipped.values():
+        assert list(reasons) == ["naive"]
+        assert "max_state_space" in reasons["naive"]
+    assert all(row.match for row in rows)
+    assert all("naive" not in row.computed for row in rows)
+
+
+def test_every_method_is_a_counts_form():
+    # Each METHODS entry, called once at n = 3, reads cross_check's count at
+    # every k <= 3.
+    group = parse_group("C2")
+    assert set(applicable_methods(group)) == set(METHODS)
+    for name, counts in METHODS.items():
+        count_at = counts(group, 3, DEFAULT_BUDGET)
+        for k in (1, 2, 3):
+            assert count_at(k) == cross_check(group, k, [name]).values[name], (name, k)
 
 
 @pytest.mark.parametrize("budget", [DEFAULT_BUDGET, Budget(max_endo_candidates=128)])
@@ -214,13 +241,12 @@ def test_sweep_equals_per_case_cross_check(budget):
 def test_sweep_takes_one_census_per_method_and_group(monkeypatch):
     calls = []
     closed = METHODS["closed"]
-    counts = closed.counts
 
     def counting(group, n, budget):
         calls.append((str(group), n))
-        return counts(group, n, budget)
+        return closed(group, n, budget)
 
-    monkeypatch.setattr(closed, "counts", counting)
+    monkeypatch.setitem(METHODS, "closed", counting)
     sweep(4, 3)
     assert calls == [("C1", 3), ("C2", 3), ("C3", 3), ("C4", 3), ("C2xC2", 3)]
 
